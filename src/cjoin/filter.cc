@@ -1,5 +1,6 @@
 #include "cjoin/filter.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -101,7 +102,12 @@ Status Filter::AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
   // over the dimension for the whole admission epoch.
   std::vector<query::Predicate::Bound> bounds;
   bounds.reserve(n);
-  for (size_t r = 0; r < n; ++r) bounds.push_back(reqs[r].pred->Bind(schema));
+  for (size_t r = 0; r < n; ++r) {
+    // The pipeline widens every filter before wiring a slot beyond the
+    // current width; a slot outside it would write into the next entry.
+    SDW_CHECK(reqs[r].slot < words_ * 64);
+    bounds.push_back(reqs[r].pred->Bind(schema));
+  }
 
   // Entries are keyed by PK; PKs are unique per dimension, so at most one
   // entry per row exists — a tuple selected by several pending queries
@@ -170,6 +176,21 @@ void Filter::CleanSlot(uint32_t slot) {
   for (size_t e = 0; e < entry_rows_.size(); ++e) {
     bits::Clear(entry_bits_.data() + e * words_, slot);
   }
+}
+
+void Filter::Rewidth(size_t words) {
+  if (words == words_) return;
+  SDW_CHECK(words >= 1 && words <= pass_mask_.num_words());
+  const size_t entries = entry_rows_.size();  // sentinel included
+  const size_t keep = std::min(words, words_);
+  CacheAlignedVector<uint64_t> relaid(entries * words, 0);
+  for (size_t e = 0; e < entries; ++e) {
+    const uint64_t* src = entry_bits_.data() + e * words_;
+    SDW_DCHECK(!bits::Any(src + keep, words_ - keep));
+    bits::Copy(relaid.data() + e * words, src, keep);
+  }
+  entry_bits_ = std::move(relaid);
+  words_ = words;
 }
 
 void Filter::BindFactColumn(const storage::Schema& fact_schema) {

@@ -40,7 +40,8 @@ struct FilterScratch {
 class Filter {
  public:
   /// `position` is the filter's index in the pipeline (column of the batch
-  /// dim_rows matrix); `slots` the bitmap capacity in query slots.
+  /// dim_rows matrix); `slots` the slot capacity. Match-bit rows start at
+  /// the full capacity width, WordsFor(slots); Rewidth narrows them.
   Filter(const storage::Table* dim_table, std::string fact_fk_column,
          std::string dim_pk_column, size_t position, size_t slots);
 
@@ -73,8 +74,8 @@ class Filter {
   /// the pipeline is paused. Non-OK when the dimension scan failed: the
   /// filter's internal state stays consistent (sentinel restored, hash table
   /// rebuilt) but the batch's match bits are incomplete — the caller must
-  /// fail the batch's queries and recycle their slots (CleanSlot erases the
-  /// partial bits on reuse, exactly as for completed queries).
+  /// fail the batch's queries and retire their slots (RemoveQuery erases the
+  /// partial bits, exactly as for completed queries).
   Status AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
                          storage::BufferPool* pool);
 
@@ -93,12 +94,25 @@ class Filter {
   /// Marks `slot` as not referencing this dimension (pass-through).
   void SetPass(uint32_t slot) { pass_mask_.Set(slot); }
 
-  /// Removes a completed query from the pass mask (match bits are cleansed
-  /// lazily by CleanSlot before slot reuse). Pipeline must be paused.
-  void RemoveQuery(uint32_t slot) { pass_mask_.Clear(slot); }
+  /// Retires a query's slot: clears it from the pass mask and its match bit
+  /// from every entry, so no dead slot holds bits and a recycled slot starts
+  /// clean. Pipeline must be paused.
+  void RemoveQuery(uint32_t slot) {
+    pass_mask_.Clear(slot);
+    CleanSlot(slot);
+  }
 
-  /// Clears `slot`'s bit from every hash-table entry (slot recycling).
+  /// Clears `slot`'s bit from every hash-table entry.
   void CleanSlot(uint32_t slot);
+
+  /// Match-bit words per entry — the pipeline's current bitmap width.
+  size_t words() const { return words_; }
+
+  /// Re-lays every entry's match bits at `words` words per entry: growing
+  /// appends zero words, shrinking drops the high words (which must hold
+  /// only dead slots, i.e. zeros). Batches processed afterwards must carry
+  /// `words` words per tuple. Pipeline must be paused.
+  void Rewidth(size_t words);
 
   /// Precomputes the fact FK column's byte offset and width so Process can
   /// gather keys with fixed-stride loads instead of per-tuple schema
@@ -135,7 +149,7 @@ class Filter {
   const std::string fact_fk_column_;
   const std::string dim_pk_column_;
   const size_t position_;
-  const size_t words_;
+  size_t words_;  // match-bit words per entry; changes only in Rewidth
 
   /// Columnar-batch kernels behind Process's per-page dispatch.
   void ProcessColumnar(TupleBatch* batch, FilterScratch* scratch) const;
@@ -155,7 +169,7 @@ class Filter {
   // Cache-line aligned: Process indexes entry rows randomly, and a 64-byte
   // base keeps every 32-byte (4-word) row inside a single line.
   CacheAlignedVector<uint64_t> entry_bits_;  // words_ match bits per entry (+")
-  Bitset pass_mask_;
+  Bitset pass_mask_;  // sized to the slot capacity; the first words_ are read
   Counter admission_scans_;
 
   size_t dim_pk_col_idx_;

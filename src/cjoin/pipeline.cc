@@ -10,6 +10,17 @@
 
 namespace sdw::cjoin {
 
+namespace {
+
+/// Fold words of the shared-aggregation key tail: one bit per foldable
+/// aggregate satellite when query folding is on.
+size_t FoldWords(const CjoinOptions& o) {
+  if (!o.query_folding) return 0;
+  return bits::WordsFor(o.fold_bits != 0 ? o.fold_bits : 3 * o.max_queries);
+}
+
+}  // namespace
+
 CjoinPipeline::CjoinPipeline(const storage::Catalog* catalog,
                              storage::BufferPool* pool,
                              const storage::Table* fact_table,
@@ -18,17 +29,14 @@ CjoinPipeline::CjoinPipeline(const storage::Catalog* catalog,
       pool_(pool),
       fact_(fact_table),
       options_(options),
-      words_(bits::WordsFor(options.max_queries)),
-      member_words_(
-          bits::WordsFor(options.max_queries) +
-          (options.query_folding
-               ? bits::WordsFor(options.fold_bits != 0 ? options.fold_bits
-                                                       : 3 * options.max_queries)
-               : 0)),
+      max_words_(bits::WordsFor(options.max_queries)),
+      // No slot is live yet: start at the narrowest width class.
+      words_(std::min<size_t>(1, max_words_)),
       slots_(options.max_queries),
       active_mask_(options.max_queries),
-      shared_agg_(options.distributor_parts, bits::WordsFor(options.max_queries),
-                  member_words_),
+      free_slots_(options.max_queries),
+      shared_agg_(options.distributor_parts, max_words_,
+                  max_words_ + FoldWords(options)),
       to_filters_(options.queue_capacity),
       to_distributor_(options.queue_capacity),
       // Upper bound on batches alive at once: both queues full plus one in
@@ -37,16 +45,19 @@ CjoinPipeline::CjoinPipeline(const storage::Catalog* catalog,
       batch_pool_(2 * to_filters_.capacity() + options.filter_threads +
                   options.distributor_parts + 1),
       cursor_(fact_table, pool) {
-  free_slots_.reserve(options_.max_queries);
-  for (size_t s = options_.max_queries; s > 0; --s) {
-    free_slots_.push_back(static_cast<uint32_t>(s - 1));
+  {
+    MutexLock lock(mu_);
+    bits::FillOnes(free_slots_.words(), options_.max_queries);
+    // Fold-bit pool for folded aggregate members, descending so the lowest
+    // bit is claimed first.
+    const size_t fold_bits = FoldWords(options_) * 64;
+    free_fold_bits_.reserve(fold_bits);
+    for (size_t b = fold_bits; b > 0; --b) {
+      free_fold_bits_.push_back(
+          static_cast<uint32_t>(shared_agg_.fold_base() + b - 1));
+    }
   }
-  // Fold-bit pool for folded aggregate members, descending so the lowest
-  // bit is claimed first (fold bits live beyond the slot range).
-  free_fold_bits_.reserve((member_words_ - words_) * 64);
-  for (size_t b = member_words_ * 64; b > words_ * 64; --b) {
-    free_fold_bits_.push_back(static_cast<uint32_t>(b - 1));
-  }
+  if (options_.shared_aggregation) shared_agg_.Rewidth(words_);
   // Joined-dimension row resolution for aggregation-group row
   // materialization. filters_ only grows at admission pauses, so reading it
   // from a part thread holding a batch is safe (same contract as EmitGroup).
@@ -124,6 +135,7 @@ CjoinStats CjoinPipeline::stats() const {
       rs.giveups.load(std::memory_order_relaxed) - retry_giveups_base_;
   s.scan_backoff_nanos =
       rs.backoff_nanos.load(std::memory_order_relaxed) - retry_backoff_base_;
+  s.bitmap_words = words_;
   return s;
 }
 
@@ -200,6 +212,7 @@ void CjoinPipeline::PreprocessorLoop() {
         lock.Lock();
         DoCompletionsLocked();
         DoAdmissionsLocked();
+        ShrinkWidthLocked();
         if (active_count_ == 0 && pending_.empty()) idle_cv_.NotifyAll();
       }
       if (stop_.load()) return;
@@ -469,8 +482,7 @@ void CjoinPipeline::CompleteQueryLocked(uint32_t slot) {
   active_mask_.Clear(slot);
   --active_count_;
   for (auto& f : filters_) f->RemoveQuery(slot);
-  dirty_slots_.push_back(slot);
-  slots_[slot].reset();
+  FreeSlotLocked(slot);
 }
 
 void CjoinPipeline::FinishRiderLocked(ActiveQuery* r,
@@ -537,18 +549,59 @@ void CjoinPipeline::DoCompletionsLocked() {
 }
 
 uint32_t CjoinPipeline::TryAllocSlotLocked() {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
+  const size_t slot = free_slots_.FindNextSet(0);
+  if (slot == free_slots_.size()) return kNoSlot;  // capacity exhausted
+  free_slots_.Clear(slot);
+  if (slot < slot_high_water_) {
+    ++stats_.slot_recycles;
+  } else {
+    slot_high_water_ = slot + 1;
   }
-  if (dirty_slots_.empty()) return kNoSlot;  // capacity exhausted
-  const uint32_t slot = dirty_slots_.back();
-  dirty_slots_.pop_back();
-  ++stats_.slot_recycles;
-  // Cleanse stale match bits left by the slot's previous occupant.
-  for (auto& f : filters_) f->CleanSlot(slot);
-  return slot;
+  return static_cast<uint32_t>(slot);
+}
+
+void CjoinPipeline::FreeSlotLocked(uint32_t slot) {
+  slots_[slot].reset();
+  free_slots_.Set(slot);
+}
+
+size_t CjoinPipeline::LiveWidthClassLocked() const {
+  size_t end = slot_high_water_;
+  while (end > 0 && slots_[end - 1] == nullptr) --end;
+  const size_t words = std::bit_ceil(std::max<size_t>(bits::WordsFor(end), 1));
+  return std::min(words, max_words_);
+}
+
+void CjoinPipeline::GrowWidthLocked() {
+  const size_t need = LiveWidthClassLocked();
+  if (need > words_) RewidthLocked(need);
+}
+
+void CjoinPipeline::ShrinkWidthLocked() {
+  const size_t need = LiveWidthClassLocked();
+  if (need >= words_) {
+    narrow_pauses_ = 0;
+    narrow_words_ = 0;
+    return;
+  }
+  narrow_words_ = std::max(narrow_words_, need);
+  if (++narrow_pauses_ >= kShrinkAfterPauses) RewidthLocked(narrow_words_);
+}
+
+void CjoinPipeline::RewidthLocked(size_t words) {
+  for (auto& f : filters_) f->Rewidth(words);
+  // Private (scalar-reference) groups key by group bytes only: no bitmap
+  // tail to re-key, and they never fold through the width-checked path.
+  if (options_.shared_aggregation) {
+    WallTimer timer;
+    shared_agg_.Rewidth(words);
+    stats_.agg_merge_nanos +=
+        static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
+  }
+  words_ = words;
+  ++stats_.bitmap_width_changes;
+  narrow_pauses_ = 0;
+  narrow_words_ = 0;
 }
 
 void CjoinPipeline::FailQuery(
@@ -580,6 +633,7 @@ Filter* CjoinPipeline::GetOrCreateFilterLocked(const query::DimJoin& dim) {
   auto filter = std::make_unique<Filter>(dim_table, dim.fact_fk_column,
                                          dim.dim_pk_column, filters_.size(),
                                          options_.max_queries);
+  filter->Rewidth(words_);
   for (size_t s = active_mask_.FindNextSet(0); s < active_mask_.size();
        s = active_mask_.FindNextSet(s + 1)) {
     filter->SetPass(static_cast<uint32_t>(s));
@@ -680,7 +734,7 @@ void CjoinPipeline::EmitAggResultLocked(ActiveQuery* aq,
     SharedAggregator::RenderSlice(*g, *slice, &rows);
   } else if (options_.shared_aggregation) {
     SharedAggregator::AccTable cut;
-    SharedAggregator::SliceSlot(*g, aq->agg_bit, &cut);
+    shared_agg_.SliceSlot(*g, aq->agg_bit, &cut);
     SharedAggregator::RenderSlice(*g, cut, &rows);
   } else {
     // A private group's table is already exactly this query's aggregate.
@@ -938,6 +992,9 @@ void CjoinPipeline::DoAdmissionsLocked() {
     }
   }
   pending_.clear();
+  // Every slot the epoch allocated must fit the bitmap before phase 2 wires
+  // it into filters and phase 4 into aggregation groups.
+  GrowWidthLocked();
 
   // Phase 2 — wire the GQP: every filter the epoch needed now exists, so
   // pass-through masks and projection plans see filters created by *any*
@@ -990,10 +1047,10 @@ void CjoinPipeline::DoAdmissionsLocked() {
     if (!aq->fault_status.ok()) {
       // Admission fault: the query never activates. Satellites folded onto
       // it this epoch fail with it — their subsumption proof is against a
-      // host that will never scan. Its slot goes back to the dirty pool
-      // (CleanSlot erases the partial match bits on reuse) and its
-      // reservation releases — exactly the completed-query cleanup, minus
-      // the active bookkeeping it never acquired.
+      // host that will never scan. Its slot goes back to the free pool
+      // (RemoveQuery erases the partial match bits) and its reservation
+      // releases — exactly the completed-query cleanup, minus the active
+      // bookkeeping it never acquired.
       for (auto& sat : aq->satellites) {
         sat->fault_status = aq->fault_status;
         FinishRiderLocked(sat.get());
@@ -1005,8 +1062,7 @@ void CjoinPipeline::DoAdmissionsLocked() {
       if (options_.memory_budget != nullptr) {
         options_.memory_budget->Release(kAdmissionCostBytes);
       }
-      dirty_slots_.push_back(slot);
-      slots_[slot].reset();
+      FreeSlotLocked(slot);
       continue;
     }
     if (aq->aggregate) {
@@ -1329,6 +1385,9 @@ void CjoinPipeline::DistributorPartLoop(size_t part) {
         EmitGroup(scratch.group_slot(g), *batch, fact_schema,
                   scratch.group_begin(g), scratch.group_size(g));
       }
+    }
+    {
+      ScopedComponentTimer t(Component::kAggregation);
       // Fold the batch once into every aggregation group. Safe without mu_:
       // the group list and shapes mutate only while the pipeline is drained,
       // and this part writes only its own partial tables.

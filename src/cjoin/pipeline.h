@@ -46,7 +46,9 @@ namespace sdw::cjoin {
 
 /// Pipeline configuration.
 struct CjoinOptions {
-  /// Query-slot capacity (bitmap width). Admissions beyond this abort.
+  /// Query-slot capacity: admissions beyond it are rejected with
+  /// kResourceExhausted. The per-tuple bitmap is sized by the live slots,
+  /// not by this cap (see docs/STORAGE.md, "Bitmap width").
   size_t max_queries = 1024;
   /// Filter worker threads (horizontal configuration).
   size_t filter_threads = 2;
@@ -108,7 +110,7 @@ struct CjoinStats {
   uint64_t queries_completed = 0;
   /// Queries whose client cancelled/detached: admitted ones retired at an
   /// admission pause before finishing their scan cycle (their slots return
-  /// to the dirty pool for reuse), plus pending ones rejected before
+  /// to the free pool for reuse), plus pending ones rejected before
   /// allocation. So queries_admitted <= queries_completed +
   /// queries_cancelled, with equality when no pending query was cancelled.
   uint64_t queries_cancelled = 0;
@@ -133,9 +135,14 @@ struct CjoinStats {
   uint64_t scan_read_retries = 0;
   uint64_t scan_retry_giveups = 0;
   int64_t scan_backoff_nanos = 0;
-  /// Admissions that reused a previously-occupied (dirty) slot — shows
-  /// cancelled/completed slots actually recycling under churn.
+  /// Admissions into a previously occupied slot — shows cancelled/completed
+  /// slots actually recycling under churn.
   uint64_t slot_recycles = 0;
+  /// Current per-tuple bitmap width in 64-bit words: the width class
+  /// (1, 2, 4, ... up to the slot capacity's width) covering the live slots.
+  uint64_t bitmap_words = 0;
+  /// Bitmap width changes (grows and shrinks) made at admission pauses.
+  uint64_t bitmap_width_changes = 0;
   uint64_t fact_pages_scanned = 0;
   /// Batch recycling pool hits/misses: a warm pipeline should show a hit
   /// rate near 1 (zero per-batch heap allocation in steady state).
@@ -167,7 +174,8 @@ struct CjoinStats {
   /// merged table, run at pause boundaries (pipeline drained) right before
   /// a slice or retirement needs it. This serial merge is the known scaling
   /// ceiling of the shared-aggregation stage; the counter is the baseline a
-  /// future parallel radix merge must beat (see ROADMAP.md).
+  /// future parallel radix merge must beat (see ROADMAP.md). Includes the
+  /// merge + re-key of every bitmap width change.
   int64_t agg_merge_nanos = 0;
   /// MergePartials invocations behind agg_merge_nanos.
   uint64_t agg_merges = 0;
@@ -193,14 +201,15 @@ struct CjoinStats {
 /// tuple count seen), with per-slot fill cursors in `counts` — each
 /// (slot, tuple) pair costs one bitmap decode and one cursor-indexed store,
 /// with no hashing and no per-append capacity check. The arena's size
-/// depends only on the batch geometry (slot capacity × page tuples), never
-/// on which slots are occupied, so steady state performs zero heap
-/// allocation per batch even as completed queries' slots are recycled —
-/// observable through the reuses/grows counters. (Two alternatives were
-/// benchmarked: a contiguous counting-sort layout lost to its second
-/// scatter pass, and per-slot growable vectors re-allocate on slot churn.)
+/// depends only on the batch geometry (bitmap width × page tuples, growing
+/// to the widest width seen), never on which slots are occupied, so steady
+/// state performs zero heap allocation per batch even as completed queries'
+/// slots are recycled — observable through the reuses/grows counters. (Two
+/// alternatives were benchmarked: a contiguous counting-sort layout lost to
+/// its second scatter pass, and per-slot growable vectors re-allocate on
+/// slot churn.)
 struct DistributorScratch {
-  std::vector<uint32_t> arena;    // max_slots × stride bucket matrix
+  std::vector<uint32_t> arena;    // width slots × stride bucket matrix
   std::vector<uint32_t> counts;   // per-slot fill cursor == group size
   std::vector<uint32_t> touched;  // slots with >= 1 tuple, ascending
   std::vector<uint64_t> seen;     // OR of all live bitmaps (one per word):
@@ -241,6 +250,11 @@ class CjoinPipeline {
   /// filter-entry growth): one open output page plus one page of dimension
   /// working state. Released at completion, rejection or failure.
   static constexpr uint64_t kAdmissionCostBytes = 2 * storage::kPageSize;
+
+  /// Consecutive admission pauses in which a narrower bitmap width class
+  /// must have sufficed before the bitmap shrinks: a load hovering at a
+  /// class boundary (64/65 live slots) re-lays nothing on most pauses.
+  static constexpr uint32_t kShrinkAfterPauses = 8;
 
   CjoinPipeline(const storage::Catalog* catalog, storage::BufferPool* pool,
                 const storage::Table* fact_table, CjoinOptions options);
@@ -466,10 +480,30 @@ class CjoinPipeline {
   // protocol REQUIRES(mu_) cannot express; see the slots_ comment below).
   void DoCompletionsLocked() REQUIRES(mu_);
   void DoAdmissionsLocked() REQUIRES(mu_);
-  /// Allocates a slot, recycling a dirty one when the free pool is empty;
-  /// returns kNoSlot when capacity is exhausted (the caller rejects).
+  /// Allocates the lowest free slot; returns kNoSlot when capacity is
+  /// exhausted (the caller rejects). Lowest-first keeps the live slots
+  /// packed at the bottom, which is what lets the bitmap width follow them.
   static constexpr uint32_t kNoSlot = ~uint32_t{0};
   uint32_t TryAllocSlotLocked() REQUIRES(mu_);
+  /// Returns a retired slot to the free pool (its filter bits are already
+  /// cleared by Filter::RemoveQuery).
+  void FreeSlotLocked(uint32_t slot) REQUIRES(mu_);
+
+  // Bitmap width control. All of it runs at admission pauses (pipeline
+  // drained, preprocessor thread), so every stage sees one width per batch.
+  /// The width class covering every allocated slot: the smallest power of
+  /// two >= WordsFor(highest allocated slot + 1), capped at max_words_.
+  size_t LiveWidthClassLocked() const REQUIRES(mu_);
+  /// Widens to cover every allocated slot. Called after an admission epoch
+  /// allocated its slots and before any of them is wired into a filter or
+  /// an aggregation group.
+  void GrowWidthLocked() REQUIRES(mu_);
+  /// Counts a pause toward the shrink hysteresis and narrows once
+  /// kShrinkAfterPauses consecutive pauses fit a narrower class (to the
+  /// widest class any of them needed). Called at the end of every pause.
+  void ShrinkWidthLocked() REQUIRES(mu_);
+  /// Re-lays filters and shared-aggregation keys at `words` words.
+  void RewidthLocked(size_t words) REQUIRES(mu_);
   Filter* GetOrCreateFilterLocked(const query::DimJoin& dim) REQUIRES(mu_);
   /// Byte moves materializing `q`'s join-output rows (schema `out_schema`)
   /// from fact pages and joined dimension rows. Used for per-query streaming
@@ -539,10 +573,12 @@ class CjoinPipeline {
   storage::BufferPool* pool_;
   const storage::Table* fact_;
   const CjoinOptions options_;
-  const size_t words_;
-  /// Member-bitmap width of the shared aggregation stage: the slot words
-  /// plus fold-bit words when query folding is enabled.
-  const size_t member_words_;
+  /// Bitmap width of the slot capacity: the widest width class.
+  const size_t max_words_;
+  /// Current per-tuple bitmap width in words. Drain-barrier protocol (see
+  /// slots_ below): written only at pauses, under mu_, by the preprocessor,
+  /// which is also its only lock-free reader.
+  size_t words_;
 
   mutable Mutex mu_{lock_rank::Rank::kCjoinPipeline};
   CondVar work_cv_;
@@ -559,11 +595,21 @@ class CjoinPipeline {
   std::vector<std::unique_ptr<ActiveQuery>> slots_;
   Bitset active_mask_;
   size_t active_count_ GUARDED_BY(mu_) = 0;
-  std::vector<uint32_t> free_slots_ GUARDED_BY(mu_);
-  std::vector<uint32_t> dirty_slots_ GUARDED_BY(mu_);
-  /// Unclaimed fold-bit positions in [words_*64, member_words_*64) for
-  /// folded aggregate members; claimed at fold time, returned when the
-  /// satellite retires. Empty pool => aggregate folds fall back to slots.
+  /// The one slot pool: bit s set = slot s free. Allocation takes the
+  /// lowest set bit.
+  Bitset free_slots_ GUARDED_BY(mu_);
+  /// One past the highest slot ever allocated. Lowest-first allocation
+  /// keeps every slot below it previously occupied, so an allocation below
+  /// it is a recycle.
+  size_t slot_high_water_ GUARDED_BY(mu_) = 0;
+  /// Shrink hysteresis: consecutive pauses fitting a narrower width class,
+  /// and the widest such class among them.
+  uint32_t narrow_pauses_ GUARDED_BY(mu_) = 0;
+  size_t narrow_words_ GUARDED_BY(mu_) = 0;
+  /// Unclaimed fold bits (numbered from shared_agg_.fold_base(), so a width
+  /// change never renumbers them) for folded aggregate members; claimed at
+  /// fold time, returned when the satellite retires. Empty pool => aggregate
+  /// folds fall back to slots.
   std::vector<uint32_t> free_fold_bits_ GUARDED_BY(mu_);
   std::vector<uint32_t> completions_due_ GUARDED_BY(mu_);
   std::vector<std::unique_ptr<Filter>> filters_;

@@ -92,8 +92,9 @@ void AppendGroupKey(const SharedAggregator::Group& g, const std::byte* row,
 SharedAggregator::SharedAggregator(size_t num_parts, size_t mask_words,
                                    size_t member_words)
     : num_parts_(num_parts),
-      mask_words_(mask_words),
-      member_words_(member_words > mask_words ? member_words : mask_words) {}
+      fold_base_(static_cast<uint32_t>(mask_words * 64)),
+      fold_words_(member_words > mask_words ? member_words - mask_words : 0),
+      mask_words_(mask_words) {}
 
 SharedAggregator::Group* SharedAggregator::FindGroup(
     const std::string& signature) {
@@ -106,8 +107,8 @@ SharedAggregator::Group* SharedAggregator::FindGroup(
 SharedAggregator::Group* SharedAggregator::CreateGroup(std::string signature) {
   auto g = std::make_unique<Group>();
   g->signature = std::move(signature);
-  g->member_mask = Bitset(member_words_ * 64);
-  g->retired_pending.assign(member_words_, 0);
+  g->member_mask = Bitset(fold_base_ + fold_words_ * 64);
+  g->retired_pending.assign(member_words(), 0);
   g->partials.resize(num_parts_);
   groups_.push_back(std::move(g));
   return groups_.back().get();
@@ -137,9 +138,11 @@ void SharedAggregator::RebuildFoldIndex(Group* g) const {
 
 void SharedAggregator::AddMember(Group* g, uint32_t slot,
                                  query::Predicate::Bound fact_pred) {
+  SDW_CHECK(slot < mask_words_ * 64);
   SDW_CHECK(!g->member_mask.Test(slot));
   // A recycled bit must not inherit a predecessor's lazily-retired entries.
-  if (g->retired_count != 0 && bits::Test(g->retired_pending.data(), slot)) {
+  if (g->retired_count != 0 &&
+      bits::Test(g->retired_pending.data(), TailBit(slot))) {
     FlushRetired(g);
   }
   g->member_mask.Set(slot);
@@ -151,10 +154,12 @@ void SharedAggregator::AddFoldedMember(Group* g, uint32_t bit,
                                        uint32_t host_slot,
                                        query::Predicate::Bound fact_pred,
                                        std::vector<Residual> residuals) {
-  SDW_CHECK(bit >= mask_words_ * 64 && bit < member_words_ * 64);
+  SDW_CHECK(bit >= fold_base_ && bit < fold_base_ + fold_words_ * 64);
+  SDW_CHECK(host_slot < mask_words_ * 64);
   SDW_CHECK(!g->member_mask.Test(bit));
   // Recycled fold bits flush like recycled slots (see AddMember).
-  if (g->retired_count != 0 && bits::Test(g->retired_pending.data(), bit)) {
+  if (g->retired_count != 0 &&
+      bits::Test(g->retired_pending.data(), TailBit(bit))) {
     FlushRetired(g);
   }
   g->member_mask.Set(bit);
@@ -186,9 +191,10 @@ void SharedAggregator::MergePartials(Group* g) {
 }
 
 void SharedAggregator::SliceSlot(const Group& g, uint32_t slot,
-                                 AccTable* out) {
+                                 AccTable* out) const {
+  const size_t tail_bit = TailBit(slot);
   for (const auto& [key, accs] : g.merged) {
-    if (!KeyMaskTest(key, g.key_width, slot)) continue;
+    if (!KeyMaskTest(key, g.key_width, tail_bit)) continue;
     auto [it, inserted] = out->try_emplace(key.substr(0, g.key_width));
     if (inserted) it->second.resize(accs.size());
     for (size_t a = 0; a < accs.size(); ++a) {
@@ -228,9 +234,10 @@ bool SharedAggregator::RetireSlot(Group* g, uint32_t slot) {
   // folds it out is deferred to FlushRetired — one batched pass per drain
   // instead of one per retiring rider, and none at all when the group dies
   // with its last member.
-  SDW_CHECK(slot < g->retired_pending.size() * 64);
-  if (!bits::Test(g->retired_pending.data(), slot)) {
-    bits::Set(g->retired_pending.data(), slot);
+  const size_t tail_bit = TailBit(slot);
+  SDW_CHECK(tail_bit < g->retired_pending.size() * 64);
+  if (!bits::Test(g->retired_pending.data(), tail_bit)) {
+    bits::Set(g->retired_pending.data(), tail_bit);
     ++g->retired_count;
   }
   g->member_mask.Clear(slot);
@@ -286,16 +293,19 @@ void SharedAggregator::SliceMembers(const Group& g,
   slices->clear();
   slices->resize(bits.size());
   if (bits.empty()) return;
-  std::vector<uint64_t> want(member_words_, 0);
-  std::vector<uint32_t> slice_of(member_words_ * 64, 0);
+  // `want` and `slice_of` are indexed by key-tail position.
+  const size_t member_words = this->member_words();
+  std::vector<uint64_t> want(member_words, 0);
+  std::vector<uint32_t> slice_of(member_words * 64, 0);
   for (size_t i = 0; i < bits.size(); ++i) {
-    SDW_CHECK(bits[i] < member_words_ * 64);
-    bits::Set(want.data(), bits[i]);
-    slice_of[bits[i]] = static_cast<uint32_t>(i);
+    const size_t tail_bit = TailBit(bits[i]);
+    SDW_CHECK(tail_bit < member_words * 64);
+    bits::Set(want.data(), tail_bit);
+    slice_of[tail_bit] = static_cast<uint32_t>(i);
   }
   for (const auto& [key, accs] : g.merged) {
     const size_t words = std::min(
-        member_words_, (key.size() - g.key_width) / sizeof(uint64_t));
+        member_words, (key.size() - g.key_width) / sizeof(uint64_t));
     for (size_t w = 0; w < words; ++w) {
       uint64_t word;
       std::memcpy(&word,
@@ -327,6 +337,40 @@ void SharedAggregator::DestroyGroup(Group* g) {
   SDW_CHECK_MSG(false, "DestroyGroup: unknown group");
 }
 
+void SharedAggregator::Rewidth(size_t mask_words) {
+  if (mask_words == mask_words_) return;
+  SDW_CHECK(mask_words >= 1 && mask_words * 64 <= fold_base_);
+  const size_t old_words = mask_words_;
+  const size_t keep = std::min(old_words, mask_words) * sizeof(uint64_t);
+  const size_t fold_bytes = fold_words_ * sizeof(uint64_t);
+  for (auto& g : groups_) {
+    // Old-layout partial keys merge into the old-layout table first; the
+    // merge also folds out every lazily-retired bit, so a shrink drops only
+    // words that no live member uses.
+    MergePartials(g.get());
+    const size_t slot_end = g->key_width + old_words * sizeof(uint64_t);
+    AccTable rekeyed;
+    rekeyed.reserve(g->merged.size());
+    for (auto& [key, accs] : g->merged) {
+      std::string k(key, 0, g->key_width + keep);
+      k.resize(g->key_width + mask_words * sizeof(uint64_t), '\0');
+      SDW_DCHECK(key.find_first_not_of('\0', g->key_width + keep) >=
+                 slot_end);
+      k.append(key, slot_end, fold_bytes);
+      // Dropped words are zero and added words are zero, so distinct keys
+      // stay distinct: no accumulators merge.
+      const bool inserted =
+          rekeyed.emplace(std::move(k), std::move(accs)).second;
+      SDW_DCHECK(inserted);
+      (void)inserted;
+    }
+    g->merged = std::move(rekeyed);
+    g->retired_pending.assign(mask_words + fold_words_, 0);
+  }
+  mask_words_ = mask_words;
+  for (auto& g : groups_) RebuildFoldIndex(g.get());
+}
+
 void SharedAggregator::FoldBatch(Group* g, const TupleBatch& batch,
                                  const storage::Schema& fact_schema,
                                  const DimRowFn& dim_row, size_t part,
@@ -334,13 +378,16 @@ void SharedAggregator::FoldBatch(Group* g, const TupleBatch& batch,
                                  FoldScratch* scratch) const {
   SDW_DCHECK(batch.words_per_tuple == mask_words_);
   AccTable& table = g->partials[part];
+  const size_t words = mask_words_;
+  const size_t member_words = this->member_words();
+  // Fold bit b sits at key-tail position b - fold_shift (after the slot
+  // words); slot bits keep their own position.
+  const size_t fold_shift = fold_base_ - words * 64;
   scratch->row.resize(g->join_row_size);
-  scratch->mask.resize(member_words_);
+  scratch->mask.resize(member_words);
   std::byte* row = scratch->row.data();
   uint64_t* mask = scratch->mask.data();
   const uint64_t* gmask = g->member_mask.words();
-  const size_t words = mask_words_;
-  const size_t member_words = member_words_;
   const bool has_folded = g->folded_members > 0;
   const size_t num_aggs = g->aggs.size();
 
@@ -412,7 +459,7 @@ void SharedAggregator::FoldBatch(Group* g, const TupleBatch& batch,
                   break;
                 }
               }
-              if (pass) bits::Set(mask, mem.bit);
+              if (pass) bits::Set(mask, mem.bit - fold_shift);
             }
           }
         }

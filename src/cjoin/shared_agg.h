@@ -28,6 +28,13 @@
 //     slices are untouched, which is what makes mid-cycle cancellation and
 //     fault retirement side-effect free and slot recycling safe.
 //
+// Key-tail layout: the member bitmap is the pipeline's current slot words
+// (mask_words, the live bitmap width) followed by the fold words. Member bits
+// are numbered independently of that width — slots from 0, fold bits from
+// fold_base() — and mapped to a tail position only when a key is built or
+// read, so a width change (Rewidth, at a pause) moves the fold words but
+// never renumbers a member.
+//
 // Two-phase tables: each distributor part folds into its own partial table
 // (no cross-part synchronization on the hot path); partials merge into the
 // group's table only at scan-cycle boundaries — the admission pauses where
@@ -101,8 +108,8 @@ class SharedAggregator {
   /// pipeline slot: their tuple verdicts are the slot's bitmap bits and
   /// `bit == slot`. Folded members (satellites of dynamic query folding)
   /// ride a host slot's bits instead: `slot` names the HOST slot whose
-  /// filter verdict bounds them, and `bit` is a private position in the
-  /// widened member bitmap (beyond the pipeline's slot range) where their
+  /// filter verdict bounds them, and `bit` is a private fold bit (numbered
+  /// from fold_base(), stored in the key tail's fold words) where their
   /// refined verdict — host bit ∧ own fact predicate ∧ dim residuals — is
   /// recorded, so slicing and retirement work identically for both kinds.
   struct Member {
@@ -124,7 +131,8 @@ class SharedAggregator {
     storage::Schema out_schema;           // group cols, then one col per agg
     size_t key_width = 0;                 // group-key bytes (key prefix)
 
-    Bitset member_mask;            // bound member bits (slots + fold bits)
+    Bitset member_mask;            // bound member bits, by member number
+                                   // (slots, then fold bits at fold_base)
     std::vector<Member> members;
     size_t folded_members = 0;     // count of members with folded == true
 
@@ -132,7 +140,7 @@ class SharedAggregator {
     // whose stale copies still sit in merged-entry key tails. Invisible to
     // surviving members' slices — slicing selects by live bits — so the
     // fold-out pass is deferred and batched instead of paid per retirement.
-    std::vector<uint64_t> retired_pending;  // member_words words
+    std::vector<uint64_t> retired_pending;  // key-tail layout, member_words
     size_t retired_count = 0;               // set bits in retired_pending
 
     // Fold index, rebuilt on every member change (pause surface): which
@@ -155,17 +163,21 @@ class SharedAggregator {
     std::string key;
   };
 
-  /// `num_parts` distributor parts fold concurrently; tuple bitmaps span
-  /// `mask_words` 64-bit words (the pipeline's slot-bitmap width). The
-  /// MEMBER bitmap — the key tail — spans `member_words` >= mask_words
-  /// words: the extra bits are fold-bit positions for folded members, which
-  /// have no slot of their own (defaults to the slot width, i.e. no fold
-  /// capacity).
+  /// `num_parts` distributor parts fold concurrently. `mask_words` is the
+  /// slot capacity's bitmap width: tuple bitmaps start that wide (Rewidth
+  /// narrows them) and fold bits are numbered from mask_words*64. The
+  /// MEMBER bitmap — the key tail — adds `member_words - mask_words` fold
+  /// words for folded members, which have no slot of their own (defaults to
+  /// none, i.e. no fold capacity).
   SharedAggregator(size_t num_parts, size_t mask_words,
                    size_t member_words = 0);
 
+  /// Current tuple-bitmap width in words (the key tail's slot words).
   size_t mask_words() const { return mask_words_; }
-  size_t member_words() const { return member_words_; }
+  /// Current key-tail width in words: slot words plus fold words.
+  size_t member_words() const { return mask_words_ + fold_words_; }
+  /// Number of the first fold bit (fixed: the slot capacity in bits).
+  uint32_t fold_base() const { return fold_base_; }
   size_t num_groups() const { return groups_.size(); }
   const std::vector<std::unique_ptr<Group>>& groups() const { return groups_; }
 
@@ -182,8 +194,8 @@ class SharedAggregator {
   /// Binds `slot` as a member (bit == slot).
   void AddMember(Group* g, uint32_t slot, query::Predicate::Bound fact_pred);
 
-  /// Binds a folded member (dynamic query folding): `bit` is a fold-bit
-  /// position in [mask_words*64, member_words*64) and `host_slot` the
+  /// Binds a folded member (dynamic query folding): `bit` is a fold bit in
+  /// [fold_base, fold_base + fold words*64) and `host_slot` the
   /// in-flight slot whose filter verdict bounds the satellite. Its refined
   /// verdict per tuple is host bit ∧ fact_pred ∧ residuals.
   void AddFoldedMember(Group* g, uint32_t bit, uint32_t host_slot,
@@ -198,7 +210,7 @@ class SharedAggregator {
   /// bit `slot` (a slot for slot members, a fold bit for folded ones) into
   /// `out`, keyed by group bytes only — exactly the aggregate the member
   /// would have computed alone. Requires partials merged.
-  static void SliceSlot(const Group& g, uint32_t slot, AccTable* out);
+  void SliceSlot(const Group& g, uint32_t slot, AccTable* out) const;
 
   /// Batch slice: cuts many members' slices in ONE merged-table traversal —
   /// `(*slices)[i]` receives member bit `bits[i]`'s aggregate, keyed by
@@ -236,6 +248,14 @@ class SharedAggregator {
   /// Destroys an empty group.
   void DestroyGroup(Group* g);
 
+  /// Changes the tuple-bitmap width to `mask_words` words: every group's
+  /// partials are merged (which folds out retired bits) and each merged key
+  /// is re-keyed — slot words kept or zero-extended, fold words moved to the
+  /// new tail position. Shrinking requires every bound slot below
+  /// mask_words*64. Slices and member numbers are unchanged. Batches folded
+  /// afterwards must carry `mask_words` words per tuple.
+  void Rewidth(size_t mask_words);
+
   // ------------------------------------------------ hot path (part threads)
 
   /// Folds one annotated batch into the group's part-local partial table:
@@ -254,9 +274,15 @@ class SharedAggregator {
   /// Rebuilds `g`'s fold index from its current member list.
   void RebuildFoldIndex(Group* g) const;
 
+  /// Key-tail bit position of member bit `bit` at the current width.
+  size_t TailBit(uint32_t bit) const {
+    return bit < fold_base_ ? bit : bit - fold_base_ + mask_words_ * 64;
+  }
+
   const size_t num_parts_;
-  const size_t mask_words_;
-  const size_t member_words_;
+  const uint32_t fold_base_;
+  const size_t fold_words_;
+  size_t mask_words_;  // changes only in Rewidth (pipeline drained)
   std::vector<std::unique_ptr<Group>> groups_;
 };
 

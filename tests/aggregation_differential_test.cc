@@ -241,11 +241,10 @@ void CheckMember(const SharedAggregator& agg,
                  const std::vector<ShapeSpec>& shapes, const MemberRef& m) {
   const SharedAggregator::Group& g = *groups[m.shape];
   SharedAggregator::AccTable slice;
-  SharedAggregator::SliceSlot(g, m.slot, &slice);
+  agg.SliceSlot(g, m.slot, &slice);
   std::vector<std::string> got, want;
   SharedAggregator::RenderSlice(g, slice, &got);
   SharedAggregator::RenderSlice(g, m.scalar, &want);
-  (void)agg;
   CheckRowsEqual(g, std::move(got), std::move(want), shapes[m.shape].name,
                  m.slot);
 }

@@ -127,7 +127,7 @@ void TestCjoinBatch64HalfCancelled(Db* db) {
                 static_cast<unsigned long long>(after.queries_completed));
 
   // Slot recycling: batch 1 consumed all 64 free slots, so this batch can
-  // only be admitted from recycled (dirty) ones.
+  // only be admitted from recycled ones.
   const auto queries2 = ssb::RandomQ32Workload(8, 6500);
   const auto tickets2 = engine.SubmitBatch(queries2);
   for (size_t i = 0; i < tickets2.size(); ++i) {

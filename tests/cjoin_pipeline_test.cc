@@ -1,6 +1,8 @@
 // End-to-end CJOIN pipeline test over a small SSB instance: results must
-// match the query-centric Volcano comparator, and a warmed pipeline must be
-// allocation-free in steady state (batch recycling pool hit rate ~1).
+// match the query-centric Volcano comparator, a warmed pipeline must be
+// allocation-free in steady state (batch recycling pool hit rate ~1), and
+// slot allocation must keep the live slots packed at the bottom so the
+// bitmap stays one word at any cap while <= 64 queries are live.
 
 #include <cstdio>
 
@@ -56,6 +58,43 @@ static void RunConfig(core::EngineConfig config, storage::Catalog* catalog,
               static_cast<unsigned long long>(m2.cjoin.batch_pool_misses));
 }
 
+// Cap 1024, several generations of 64 queries: lowest-first allocation
+// reuses slots [0, 64) every generation, so the bitmap never leaves one word
+// (any slot >= 64 would have forced a width change) and every generation
+// after the first is admitted entirely into recycled slots. Each RunBatch
+// resets the engine counters, so the checks are per generation.
+static void SlotsStayLow(storage::Catalog* catalog, storage::BufferPool* pool,
+                         const baseline::VolcanoEngine* volcano) {
+  core::EngineOptions opts;
+  opts.config = core::EngineConfig::kCjoin;
+  opts.cjoin.max_queries = 1024;
+  core::Engine engine(catalog, pool, opts);
+  constexpr uint64_t kGenerations = 4;
+  for (uint64_t gen = 0; gen < kGenerations; ++gen) {
+    const auto queries = ssb::RandomQ32Workload(64, /*seed=*/500 + gen);
+    // Verify against the comparator on the first and last generation only:
+    // the middle ones exercise allocation, not results.
+    const bool verify = gen == 0 || gen + 1 == kGenerations;
+    const harness::RunMetrics m = harness::RunBatch(
+        &engine, pool, queries, /*clear_caches=*/false,
+        verify ? volcano : nullptr);
+    SDW_CHECK(m.completed == queries.size());
+    SDW_CHECK_MSG(m.cjoin.bitmap_words == 1 &&
+                      m.cjoin.bitmap_width_changes == 0,
+                  "generation %llu at cap 1024: width %llu after %llu changes",
+                  static_cast<unsigned long long>(gen),
+                  static_cast<unsigned long long>(m.cjoin.bitmap_words),
+                  static_cast<unsigned long long>(
+                      m.cjoin.bitmap_width_changes));
+    SDW_CHECK_MSG(m.cjoin.slot_recycles == (gen == 0 ? 0u : 64u),
+                  "generation %llu: %llu recycled slots",
+                  static_cast<unsigned long long>(gen),
+                  static_cast<unsigned long long>(m.cjoin.slot_recycles));
+  }
+  std::printf("cap 1024, %llu generations x 64 queries: one-word bitmap\n",
+              static_cast<unsigned long long>(kGenerations));
+}
+
 int main() {
   storage::Catalog catalog;
   ssb::SsbOptions ssb_opts;
@@ -69,6 +108,7 @@ int main() {
 
   RunConfig(core::EngineConfig::kCjoin, &catalog, &pool, &volcano);
   RunConfig(core::EngineConfig::kCjoinSp, &catalog, &pool, &volcano);
+  SlotsStayLow(&catalog, &pool, &volcano);
   std::printf("cjoin_pipeline_test: OK\n");
   return 0;
 }

@@ -224,7 +224,7 @@ TEST_F(PipelineTest, StaggeredAdmissionBatches) {
 }
 
 TEST_F(PipelineTest, SlotRecyclingAcrossGenerations) {
-  // More sequential generations than slots: forces dirty-slot recycling.
+  // More sequential generations than slots: forces slot recycling.
   CjoinOptions options;
   options.max_queries = 2;
   for (int generation = 0; generation < 4; ++generation) {

@@ -336,7 +336,7 @@ TEST_P(SharedAggSliceProperty, SliceEqualsQualifyingTuples) {
 
   for (size_t s = 0; s < kSlots; ++s) {
     cjoin::SharedAggregator::AccTable slice;
-    cjoin::SharedAggregator::SliceSlot(*g, static_cast<uint32_t>(s), &slice);
+    agg.SliceSlot(*g, static_cast<uint32_t>(s), &slice);
 
     // Brute force: one accumulator table over exactly the qualifying tuples.
     cjoin::SharedAggregator::AccTable want;
