@@ -753,6 +753,112 @@ void BM_SharedAggScalarRef(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedAggScalarRef)->Arg(1)->Arg(16)->Arg(64);
 
+// One member's completion pause on a group with N live members, each
+// holding its own ~256 groups (member-major merged state): merge the
+// partial folded since the last pause (one page qualifying only the
+// finisher), take the finisher's slice, retire it and re-bind its slot.
+// Nothing here walks the other members' tables, so time per completion
+// should stay flat in N. Outside the timed region the finisher's table is
+// handed back and the next page is folded, so every iteration sees N live,
+// fully populated members.
+
+class SharedAggCompleteFixture {
+ public:
+  static constexpr size_t kSlots = 256;  // four bitmap words
+
+  explicit SharedAggCompleteFixture(size_t members)
+      : schema_({storage::Schema::Int32("k1"), storage::Schema::Int32("v1")}),
+        agg_(/*num_parts=*/1, bits::WordsFor(kSlots)) {
+    Rng rng(23);
+    page_ = storage::Page::Make(schema_.tuple_size());
+    while (std::byte* t = page_->AppendTuple()) {
+      schema_.SetInt32(t, 0, static_cast<int32_t>(rng.Uniform(0, 255)));
+      schema_.SetInt32(t, 1, static_cast<int32_t>(rng.Uniform(0, 99)));
+    }
+    group_ = agg_.CreateGroup("bench_complete");
+    group_->join_schema = schema_;
+    group_->join_row_size = schema_.tuple_size();
+    group_->moves = {
+        {/*from_fact=*/true, 0, /*src_col=*/0, 0, 0, schema_.tuple_size()}};
+    group_->group_cols = {0};
+    group_->aggs = {{query::AggSpec::Kind::kSum, 1, -1, -1,
+                     /*integer_exact=*/true, "s"}};
+    group_->out_schema = storage::Schema(
+        {storage::Schema::Int32("k1"), storage::Schema::Int64("s")});
+    group_->key_width = schema_.column(0).width();
+    for (size_t s = 0; s < members; ++s) {
+      agg_.AddMember(group_, static_cast<uint32_t>(s), query::Predicate::Bound());
+    }
+    // Populate: N/8 pages, each tuple qualifying two random members, so
+    // every member accumulates ~1000 tuples over the 256 group keys.
+    const size_t words = bits::WordsFor(kSlots);
+    cjoin::SharedAggregator::FoldScratch scratch;
+    for (size_t p = 0; p < members / 8; ++p) {
+      batch_.fact_page = page_;
+      batch_.ResetFor(page_->tuple_count(), static_cast<uint32_t>(words), 1);
+      for (uint32_t i = 0; i < batch_.num_tuples; ++i) {
+        uint64_t* tb = batch_.tuple_bits(i);
+        bits::Zero(tb, words);
+        bits::Set(tb, rng.Index(members));
+        bits::Set(tb, rng.Index(members));
+      }
+      agg_.FoldBatch(group_, batch_, schema_, nullptr, 0,
+                     /*preds_pre_applied=*/true, &scratch_);
+    }
+    cjoin::SharedAggregator::MergePartials(group_);
+    FoldFinisherPage(0);
+  }
+
+  // Folds one page whose every tuple qualifies member `slot` only.
+  void FoldFinisherPage(uint32_t slot) {
+    const size_t words = bits::WordsFor(kSlots);
+    batch_.fact_page = page_;
+    batch_.ResetFor(page_->tuple_count(), static_cast<uint32_t>(words), 1);
+    for (uint32_t i = 0; i < batch_.num_tuples; ++i) {
+      bits::Zero(batch_.tuple_bits(i), words);
+      bits::Set(batch_.tuple_bits(i), slot);
+    }
+    agg_.FoldBatch(group_, batch_, schema_, nullptr, 0,
+                   /*preds_pre_applied=*/true, &scratch_);
+  }
+
+  static SharedAggCompleteFixture& Get(size_t members) {
+    static SharedAggCompleteFixture f16(16);
+    static SharedAggCompleteFixture f64(64);
+    static SharedAggCompleteFixture f256(256);
+    return members == 16 ? f16 : members == 64 ? f64 : f256;
+  }
+
+  storage::Schema schema_;
+  storage::PagePtr page_;
+  cjoin::SharedAggregator agg_;
+  cjoin::SharedAggregator::Group* group_ = nullptr;
+  cjoin::SharedAggregator::FoldScratch scratch_;
+  cjoin::TupleBatch batch_;
+};
+
+void BM_SharedAggComplete(benchmark::State& state) {
+  const size_t members = static_cast<size_t>(state.range(0));
+  SharedAggCompleteFixture& f = SharedAggCompleteFixture::Get(members);
+  uint32_t slot = 0;
+  size_t rows = 0;
+  for (auto _ : state) {
+    cjoin::SharedAggregator::MergePartials(f.group_);
+    cjoin::SharedAggregator::AccTable slice = f.agg_.TakeSlice(f.group_, slot);
+    rows += slice.size();
+    f.agg_.RetireSlot(f.group_, slot);
+    f.agg_.AddMember(f.group_, slot, query::Predicate::Bound());
+    state.PauseTiming();
+    f.group_->members.back().table = std::move(slice);
+    slot = static_cast<uint32_t>((slot + 1) % members);
+    f.FoldFinisherPage(slot);
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(rows);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SharedAggComplete)->Arg(16)->Arg(64)->Arg(256);
+
 // ---------------------------------------------------------------------------
 // Admission latency: K pending queries admitted serially (one dimension scan
 // each, the seed behavior) vs. as one AdmitQueryBatch epoch (ONE scan for

@@ -150,7 +150,6 @@ Status Filter::AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
           if (inserted) {
             entry_rows_.push_back(row);
             entry_bits_.resize(entry_bits_.size() + words_, 0);
-            ht_.Insert(qpipe::HashKey(pk), pk, e);
           }
           entry = static_cast<uint32_t>(e);
         }
@@ -161,12 +160,6 @@ Status Filter::AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
   }
   entry_rows_.push_back(kNoDimRow);                    // sentinel
   entry_bits_.resize(entry_bits_.size() + words_, 0);  // sentinel
-  {
-    // Rebuild even on a failed scan: entries inserted before the failure are
-    // in ht_ and must stay probe-consistent with the entry arrays.
-    ScopedComponentTimer t(Component::kHashing);
-    ht_.Build();
-  }
   admission_scans_.Add(1);
   return scan_status;
 }
@@ -273,8 +266,8 @@ void Filter::Process(TupleBatch* batch, FilterScratch* scratch) const {
       }
     }
     scratch->values.resize(scratch->keys.size());
-    ht_.ProbeBatch(scratch->keys.data(), scratch->keys.size(),
-                   scratch->values.data());
+    flat_ht_.ProbeBatch(scratch->keys.data(), scratch->keys.size(),
+                        scratch->values.data());
   }
 
   // Pass 2 (the paper's "Joins" work): bitwise AND with match|pass, record
@@ -397,9 +390,9 @@ void Filter::ProcessColumnar(TupleBatch* batch, FilterScratch* scratch) const {
   }
 
   // Pass 2: same sentinel-redirect structure as the row-major body (flat
-  // misses return kMissValue = ~0, which the `< sentinel` cmov redirects
-  // exactly like the chained table's miss value); the multi-word AND runs
-  // through the SIMD dispatch instead of the scalar word loop.
+  // misses return kMissValue = ~0, which the `< sentinel` cmov redirects);
+  // the multi-word AND runs through the SIMD dispatch instead of the scalar
+  // word loop.
   {
     ScopedComponentTimer t(Component::kJoins);
     const uint64_t sentinel = entry_rows_.size() - 1;
@@ -477,9 +470,10 @@ void Filter::ProcessScalar(TupleBatch* batch,
     for (uint32_t i = 0; i < n; ++i) {
       if (!batch->tuple_live(i)) continue;  // dead tuple
       const int64_t key = page.GetIntAny(fact_schema, fact_fk_col_idx, i);
-      ht_.ForEachMatch(qpipe::HashKey(key), key, [&](uint64_t entry_idx) {
+      const uint64_t entry_idx = flat_ht_.Find(key);
+      if (entry_idx != qpipe::FlatInt64HashTable::kMissValue) {
         match_entry[i] = static_cast<uint32_t>(entry_idx);
-      });
+      }
     }
   }
 

@@ -20,7 +20,6 @@
 #include "common/bitmap.h"
 #include "common/stats.h"
 #include "qpipe/flat_hash_table.h"
-#include "qpipe/hash_table.h"
 #include "query/predicate.h"
 #include "storage/buffer_pool.h"
 #include "storage/table.h"
@@ -126,11 +125,11 @@ class Filter {
   /// BindFactColumn. `scratch` is the calling worker's reusable scratch.
   ///
   /// Dispatches per page layout: row-major batches run the retained
-  /// chained-probe + scalar-bitmap body (the differential oracle behind
-  /// EngineOptions::columnar_pages=false); PAX batches run the columnar
-  /// kernels — contiguous key reads straight off the FK minipage, the flat
-  /// open-addressing probe, and the AVX2 multi-word bitmap pass. Both
-  /// produce bit-identical bitmaps / dim_rows / live masks.
+  /// fixed-stride gather + scalar-bitmap body (the differential oracle
+  /// behind EngineOptions::columnar_pages=false); PAX batches run the
+  /// columnar kernels — contiguous key reads straight off the FK minipage
+  /// and the AVX2 multi-word bitmap pass. Both probe the same flat table
+  /// and produce bit-identical bitmaps / dim_rows / live masks.
   void Process(TupleBatch* batch, FilterScratch* scratch) const;
 
   /// Retained per-tuple reference implementation (one GetIntAny + one
@@ -142,7 +141,7 @@ class Filter {
 
   /// Number of distinct dimension tuples currently referenced (hash table
   /// size) — the shared-operator bookkeeping the paper discusses.
-  size_t num_entries() const { return ht_.size(); }
+  size_t num_entries() const { return flat_ht_.size(); }
 
  private:
   const storage::Table* dim_table_;
@@ -154,12 +153,9 @@ class Filter {
   /// Columnar-batch kernels behind Process's per-page dispatch.
   void ProcessColumnar(TupleBatch* batch, FilterScratch* scratch) const;
 
-  // Probe-path table for row-major batches: pk -> entry index. Retained as
-  // the oracle probe structure (and for the ForEachMatch scalar reference).
-  qpipe::Int64HashTable ht_;
-  // Flat open-addressing twin with the same pk -> entry mapping: the
-  // admission-path insert-or-find index (no Build step, grows in place at
-  // pauses) AND the columnar batches' dense probe stream.
+  // pk -> entry index, open addressing: the admission-path insert-or-find
+  // index (no Build step, grows in place at pauses) and the probe structure
+  // of every Process body.
   qpipe::FlatInt64HashTable flat_ht_;
   // Per-entry arrays, always followed by one sentinel entry (zero match
   // bits, kNoDimRow row id) that ProbeBatch misses are redirected to — this

@@ -57,7 +57,7 @@ CjoinPipeline::CjoinPipeline(const storage::Catalog* catalog,
           static_cast<uint32_t>(shared_agg_.fold_base() + b - 1));
     }
   }
-  if (options_.shared_aggregation) shared_agg_.Rewidth(words_);
+  shared_agg_.Rewidth(words_);
   // Joined-dimension row resolution for aggregation-group row
   // materialization. filters_ only grows at admission pauses, so reading it
   // from a part thread holding a batch is safe (same contract as EmitGroup).
@@ -208,8 +208,11 @@ void CjoinPipeline::PreprocessorLoop() {
       if (!pending_.empty() || !completions_due_.empty()) {
         // Pause the pipeline: drain in-flight batches, then adapt the GQP.
         lock.Unlock();
+        WallTimer drain_timer;
         DrainPipeline();
+        const double drained = drain_timer.ElapsedSeconds();
         lock.Lock();
+        stats_.drain_seconds += drained;
         DoCompletionsLocked();
         DoAdmissionsLocked();
         ShrinkWidthLocked();
@@ -399,77 +402,39 @@ void CjoinPipeline::CompleteQueryLocked(uint32_t slot) {
            r->detached_cache.load(std::memory_order_relaxed);
   };
   const bool host_due = !aq->client_done && rider_due(aq);
-  bool merge_needed =
-      host_due && aq->aggregate && aq->agg_group != nullptr;
+  // Every due aggregate rider needs its group merged: a clean finish takes
+  // its own table as its slice, and any retirement requires that no partial
+  // entry still carries the retiring bit. All of this slot's aggregate
+  // riders share ONE group (folding requires AggSignature equality), so one
+  // merge serves them all. The pipeline is drained here, so no part is
+  // folding; the merge runs on the preprocessor and agg_merge_nanos times
+  // it.
+  SharedAggregator::Group* merge_group = nullptr;
+  auto due_member = [&](const ActiveQuery* r) {
+    return r->aggregate && r->agg_group != nullptr && rider_due(r);
+  };
+  if (host_due && due_member(aq)) merge_group = aq->agg_group;
   for (const auto& sat : aq->satellites) {
-    if (sat->aggregate && sat->agg_group != nullptr && rider_due(sat.get())) {
-      merge_needed = true;
-    }
+    if (due_member(sat.get())) merge_group = sat->agg_group;
   }
-  SharedAggregator::Group* g =
-      aq->agg_group != nullptr ? aq->agg_group : nullptr;
-  for (const auto& sat : aq->satellites) {
-    if (g == nullptr && sat->agg_group != nullptr) g = sat->agg_group;
-  }
-  if (merge_needed) {
-    // Partials hold every fold since the last pause-side merge; both the
-    // result slices and the survivor-safe retirements below read the merged
-    // table. All of this slot's aggregate riders share ONE group (folding
-    // requires AggSignature equality), so one merge serves them all. The
-    // pipeline is drained here, so no part is folding — the merge is
-    // single-threaded on the preprocessor, and its cost is the pause-time
-    // tax agg_merge_nanos makes visible (the future radix-merge baseline).
-    SDW_CHECK(g != nullptr);
+  if (merge_group != nullptr) {
+    ScopedComponentTimer t(Component::kAggregation);
     WallTimer merge_timer;
-    SharedAggregator::MergePartials(g);
+    SharedAggregator::MergePartials(merge_group);
     stats_.agg_merge_nanos +=
         static_cast<int64_t>(merge_timer.ElapsedSeconds() * 1e9);
     ++stats_.agg_merges;
   }
-  // Batch slice: every due rider about to emit shares this slot's one
-  // group, so cut all their slices in a single merged-table pass instead
-  // of one traversal per rider — the drain that ends a scan cycle finishes
-  // every rider of the slot at once. The predicate mirrors
-  // FinishRiderLocked's emit path: faulted or detached-early riders fail
-  // without results and need no slice.
-  std::vector<uint32_t> slice_bits;
-  std::vector<ActiveQuery*> slice_riders;
-  if (options_.shared_aggregation) {
-    auto emits_slice = [&](ActiveQuery* r) {
-      return rider_due(r) && r->aggregate && r->agg_group != nullptr &&
-             r->fault_status.ok() && r->pages_remaining == 0;
-    };
-    for (const auto& sat : aq->satellites) {
-      if (emits_slice(sat.get())) {
-        slice_bits.push_back(sat->agg_bit);
-        slice_riders.push_back(sat.get());
-      }
-    }
-    if (host_due && emits_slice(aq)) {
-      slice_bits.push_back(aq->agg_bit);
-      slice_riders.push_back(aq);
-    }
-  }
-  std::vector<SharedAggregator::AccTable> slices;
-  if (!slice_bits.empty()) shared_agg_.SliceMembers(*g, slice_bits, &slices);
-  auto slice_for = [&](ActiveQuery* r) -> SharedAggregator::AccTable* {
-    for (size_t i = 0; i < slice_riders.size(); ++i) {
-      if (slice_riders[i] == r) return &slices[i];
-    }
-    return nullptr;
-  };
-  // Finish due satellites first (their slices must be cut before the host's
-  // retirement could destroy an emptied group), then the host's own client.
   for (auto it = aq->satellites.begin(); it != aq->satellites.end();) {
     if (rider_due(it->get())) {
-      FinishRiderLocked(it->get(), slice_for(it->get()));
+      FinishRiderLocked(it->get());
       it = aq->satellites.erase(it);
     } else {
       ++it;
     }
   }
   if (host_due) {
-    FinishRiderLocked(aq, slice_for(aq));
+    FinishRiderLocked(aq);
     aq->client_done = true;
   }
   if (!aq->client_done || !aq->satellites.empty()) {
@@ -485,8 +450,7 @@ void CjoinPipeline::CompleteQueryLocked(uint32_t slot) {
   FreeSlotLocked(slot);
 }
 
-void CjoinPipeline::FinishRiderLocked(ActiveQuery* r,
-                                      SharedAggregator::AccTable* slice) {
+void CjoinPipeline::FinishRiderLocked(ActiveQuery* r) {
   const bool faulted = !r->fault_status.ok();
   const bool early = faulted || r->pages_remaining > 0;
   Status final_status = Status::Ok();
@@ -504,7 +468,7 @@ void CjoinPipeline::FinishRiderLocked(ActiveQuery* r,
     }
     FailQuery(r->life, r->on_complete, r->sink.get(), final_status);
   } else if (r->aggregate) {
-    EmitAggResultLocked(r, slice);
+    EmitAggResultLocked(r);
     if (r->on_complete) r->on_complete(final_status);
   } else {
     {
@@ -515,13 +479,11 @@ void CjoinPipeline::FinishRiderLocked(ActiveQuery* r,
     if (r->on_complete) r->on_complete(final_status);
   }
   if (r->aggregate && r->agg_group != nullptr) {
-    // Unbind from the aggregation group. Under sharing the rider's member
-    // bit (its slot, or its fold bit) folds out of every table entry —
-    // survivors' slices are untouched, and the recycled bit re-enters any
-    // group clean. A private scalar group dies with its only member (its
-    // keys carry no bitmap to fold).
-    if (!options_.shared_aggregation ||
-        shared_agg_.RetireSlot(r->agg_group, r->agg_bit)) {
+    // Unbind from the aggregation group: the rider's member table drops,
+    // survivors' tables are untouched, and the bit (its slot, or its fold
+    // bit) re-binds with an empty table. A group — always so for a private
+    // scalar group — dies with its last member.
+    if (shared_agg_.RetireSlot(r->agg_group, r->agg_bit)) {
       shared_agg_.DestroyGroup(r->agg_group);
     }
     r->agg_group = nullptr;
@@ -544,8 +506,11 @@ void CjoinPipeline::FinishRiderLocked(ActiveQuery* r,
 }
 
 void CjoinPipeline::DoCompletionsLocked() {
+  if (completions_due_.empty()) return;
+  WallTimer timer;
   for (uint32_t slot : completions_due_) CompleteQueryLocked(slot);
   completions_due_.clear();
+  stats_.completion_seconds += timer.ElapsedSeconds();
 }
 
 uint32_t CjoinPipeline::TryAllocSlotLocked() {
@@ -590,9 +555,8 @@ void CjoinPipeline::ShrinkWidthLocked() {
 
 void CjoinPipeline::RewidthLocked(size_t words) {
   for (auto& f : filters_) f->Rewidth(words);
-  // Private (scalar-reference) groups key by group bytes only: no bitmap
-  // tail to re-key, and they never fold through the width-checked path.
-  if (options_.shared_aggregation) {
+  {
+    ScopedComponentTimer t(Component::kAggregation);
     WallTimer timer;
     shared_agg_.Rewidth(words);
     stats_.agg_merge_nanos +=
@@ -725,20 +689,14 @@ void CjoinPipeline::BindFoldedAggLocked(ActiveQuery* host, ActiveQuery* sat) {
   sat->agg_group = g;
 }
 
-void CjoinPipeline::EmitAggResultLocked(ActiveQuery* aq,
-                                        SharedAggregator::AccTable* slice) {
+void CjoinPipeline::EmitAggResultLocked(ActiveQuery* aq) {
   SharedAggregator::Group* g = aq->agg_group;
   SDW_CHECK(g != nullptr);
   std::vector<std::string> rows;
-  if (slice != nullptr) {
-    SharedAggregator::RenderSlice(*g, *slice, &rows);
-  } else if (options_.shared_aggregation) {
-    SharedAggregator::AccTable cut;
-    shared_agg_.SliceSlot(*g, aq->agg_bit, &cut);
-    SharedAggregator::RenderSlice(*g, cut, &rows);
-  } else {
-    // A private group's table is already exactly this query's aggregate.
-    SharedAggregator::RenderSlice(*g, g->merged, &rows);
+  {
+    ScopedComponentTimer t(Component::kAggregation);
+    SharedAggregator::RenderSlice(*g, shared_agg_.TakeSlice(g, aq->agg_bit),
+                                  &rows);
   }
   ++stats_.agg_slice_emits;
   storage::PagePtr page;

@@ -104,7 +104,13 @@ struct CjoinOptions {
 
 /// Aggregate pipeline statistics.
 struct CjoinStats {
-  double admission_seconds = 0;   // wall time with the pipeline paused
+  /// Wall time of the three parts of a pause (pipeline drained, only the
+  /// preprocessor working): waiting for in-flight batches to drain, retiring
+  /// due queries (merge, slice, render, unbind), and admitting pending ones
+  /// (DoAdmissionsLocked: fold pass, dimension scans, wiring).
+  double drain_seconds = 0;
+  double completion_seconds = 0;
+  double admission_seconds = 0;
   uint64_t admission_batches = 0;
   uint64_t queries_admitted = 0;
   uint64_t queries_completed = 0;
@@ -169,13 +175,13 @@ struct CjoinStats {
   /// Per-query result slices rendered at completion (one per aggregate
   /// query that finished its cycle cleanly).
   uint64_t agg_slice_emits = 0;
-  /// Wall nanos spent in SharedAggregator::MergePartials — the
-  /// SINGLE-THREADED fold of every part's partial table into the group's
-  /// merged table, run at pause boundaries (pipeline drained) right before
-  /// a slice or retirement needs it. This serial merge is the known scaling
-  /// ceiling of the shared-aggregation stage; the counter is the baseline a
-  /// future parallel radix merge must beat (see ROADMAP.md). Includes the
-  /// merge + re-key of every bitmap width change.
+  /// Wall nanos spent in SharedAggregator::MergePartials: the serial
+  /// expansion of every part's partial entries (folded since the group's
+  /// last merge) into the tables of the members their bitmaps name, run at
+  /// pause boundaries (pipeline drained) right before a completing rider
+  /// takes its slice or retires. Its cost is O(partial entries × member
+  /// bits per entry), independent of how many members stay live. Includes
+  /// the merge before every bitmap width change.
   int64_t agg_merge_nanos = 0;
   /// MergePartials invocations behind agg_merge_nanos.
   uint64_t agg_merges = 0;
@@ -502,7 +508,7 @@ class CjoinPipeline {
   /// kShrinkAfterPauses consecutive pauses fit a narrower class (to the
   /// widest class any of them needed). Called at the end of every pause.
   void ShrinkWidthLocked() REQUIRES(mu_);
-  /// Re-lays filters and shared-aggregation keys at `words` words.
+  /// Re-lays filters and shared-aggregation partial keys at `words` words.
   void RewidthLocked(size_t words) REQUIRES(mu_);
   Filter* GetOrCreateFilterLocked(const query::DimJoin& dim) REQUIRES(mu_);
   /// Byte moves materializing `q`'s join-output rows (schema `out_schema`)
@@ -515,13 +521,10 @@ class CjoinPipeline {
   /// (private, under the scalar reference) group whose shape is compiled
   /// here. Additionally requires the pipeline drained.
   void BindAggGroupLocked(ActiveQuery* aq) REQUIRES(mu_);
-  /// Renders the completing aggregate query's result (slice of its shared
-  /// group, or the whole table of its private scalar group) into pages on
-  /// its sink. Requires the group's partials merged. `slice` is an optional
-  /// precomputed slice (SliceMembers batches all of a drain's slices into
-  /// one table pass); nullptr cuts it here.
-  void EmitAggResultLocked(ActiveQuery* aq,
-                           SharedAggregator::AccTable* slice) REQUIRES(mu_);
+  /// Renders the completing aggregate query's result — its member table in
+  /// its group, taken by move — into pages on its sink. Requires the
+  /// group's partials merged.
+  void EmitAggResultLocked(ActiveQuery* aq) REQUIRES(mu_);
   /// Processes a slot queued on completions_due_: finishes every DUE rider
   /// (the host query and/or folded satellites — faulted, cycle complete, or
   /// detached), then retires the slot itself only once the host's client is
@@ -532,11 +535,8 @@ class CjoinPipeline {
   /// else emits its aggregate slice or drains its stream; retires its
   /// aggregation membership (by agg_bit), returns its fold bit, counts it,
   /// releases its budget reservation. Additionally requires the pipeline
-  /// drained. `slice` forwards a batch-precomputed aggregate slice to
-  /// EmitAggResultLocked (nullptr = compute on emit).
-  void FinishRiderLocked(ActiveQuery* r,
-                         SharedAggregator::AccTable* slice = nullptr)
-      REQUIRES(mu_);
+  /// drained, and an aggregate rider's group merged.
+  void FinishRiderLocked(ActiveQuery* r) REQUIRES(mu_);
   /// The in-flight (or same-epoch just-materialized, via `epoch_slots`)
   /// query that can host pending query `p`: healthy, matching aggregate
   /// mode, and query::QuerySubsumes(host.q, p.q). Null when none — or when
@@ -613,7 +613,7 @@ class CjoinPipeline {
   std::vector<uint32_t> free_fold_bits_ GUARDED_BY(mu_);
   std::vector<uint32_t> completions_due_ GUARDED_BY(mu_);
   std::vector<std::unique_ptr<Filter>> filters_;
-  /// Shared aggregation stage. Group membership and merged tables mutate
+  /// Shared aggregation stage. Group membership and member tables mutate
   /// only at admission pauses (pipeline drained); distributor parts fold
   /// into their own per-part partial tables while batches are in flight.
   SharedAggregator shared_agg_;

@@ -8,50 +8,25 @@ namespace sdw::cjoin {
 
 namespace {
 
-/// Tests bit `slot` of the bitmap stored in a table key's tail (the bytes
-/// after the group-key prefix). The bitmap bytes were memcpy'd from native
-/// uint64_t words, so reading them back the same way is exact.
-bool KeyMaskTest(const std::string& key, size_t key_width, uint32_t slot) {
-  uint64_t word;
-  std::memcpy(&word, key.data() + key_width + (slot >> 6) * sizeof(uint64_t),
-              sizeof(uint64_t));
-  return (word >> (slot & 63)) & 1;
+/// Merges accumulators `from` into `into`, aggregate by aggregate.
+void MergeAccs(std::vector<query::AggAcc>* into,
+               const std::vector<query::AggAcc>& from) {
+  for (size_t a = 0; a < from.size(); ++a) (*into)[a].MergeFrom(from[a]);
 }
 
-/// True when the bitmap tail of `key` has any bit set.
-bool KeyMaskAny(const std::string& key, size_t key_width) {
-  for (size_t b = key_width; b < key.size(); ++b) {
-    if (key[b] != 0) return true;
-  }
-  return false;
+/// Merges a copy of `accs` into `table[key]`.
+void MergeCopy(SharedAggregator::AccTable* table, const std::string& key,
+               const std::vector<query::AggAcc>& accs) {
+  auto [it, inserted] = table->try_emplace(key, accs);
+  if (!inserted) MergeAccs(&it->second, accs);
 }
 
-/// True when the bitmap tail of `key` intersects `mask` (of `words` words).
-bool KeyMaskIntersects(const std::string& key, size_t key_width,
-                       const uint64_t* mask, size_t words) {
-  const size_t n =
-      std::min(words, (key.size() - key_width) / sizeof(uint64_t));
-  for (size_t w = 0; w < n; ++w) {
-    uint64_t word;
-    std::memcpy(&word, key.data() + key_width + w * sizeof(uint64_t),
-                sizeof(uint64_t));
-    if ((word & mask[w]) != 0) return true;
-  }
-  return false;
-}
-
-/// Clears every bit of `mask` from the bitmap tail of `key` (in place).
-void KeyMaskClearAll(std::string* key, size_t key_width, const uint64_t* mask,
-                     size_t words) {
-  const size_t n =
-      std::min(words, (key->size() - key_width) / sizeof(uint64_t));
-  for (size_t w = 0; w < n; ++w) {
-    char* at = key->data() + key_width + w * sizeof(uint64_t);
-    uint64_t word;
-    std::memcpy(&word, at, sizeof(uint64_t));
-    word &= ~mask[w];
-    std::memcpy(at, &word, sizeof(uint64_t));
-  }
+/// Merges an extracted entry into `table`: the node itself moves in when
+/// its key is new (no allocation), else its accumulators merge.
+void MergeNode(SharedAggregator::AccTable* table,
+               SharedAggregator::AccTable::node_type node) {
+  auto r = table->insert(std::move(node));
+  if (!r.inserted) MergeAccs(&r.position->second, r.node.mapped());
 }
 
 /// Materializes the join-output row for batch tuple `i` into `row`.
@@ -108,20 +83,28 @@ SharedAggregator::Group* SharedAggregator::CreateGroup(std::string signature) {
   auto g = std::make_unique<Group>();
   g->signature = std::move(signature);
   g->member_mask = Bitset(fold_base_ + fold_words_ * 64);
-  g->retired_pending.assign(member_words(), 0);
   g->partials.resize(num_parts_);
+  RebuildIndexes(g.get());
   groups_.push_back(std::move(g));
   return groups_.back().get();
 }
 
-void SharedAggregator::RebuildFoldIndex(Group* g) const {
+void SharedAggregator::RebuildIndexes(Group* g) const {
   const size_t slots = mask_words_ * 64;
+  g->tail_member.assign(member_words() * 64, kNoMember);
+  for (size_t m = 0; m < g->members.size(); ++m) {
+    const Member& mem = g->members[m];
+    SDW_CHECK(mem.folded || mem.bit < slots);
+    g->tail_member[TailBit(mem.bit)] = static_cast<uint32_t>(m);
+  }
   g->sat_slot_mask.assign(mask_words_, 0);
   g->sat_begin.assign(slots + 1, 0);
   g->sat_idx.clear();
   if (g->folded_members == 0) return;
   for (const Member& mem : g->members) {
-    if (mem.folded) ++g->sat_begin[mem.slot + 1];
+    if (!mem.folded) continue;
+    SDW_CHECK(mem.slot < slots);
+    ++g->sat_begin[mem.slot + 1];
   }
   for (size_t s = 0; s < slots; ++s) {
     if (g->sat_begin[s + 1] != 0) bits::Set(g->sat_slot_mask.data(), s);
@@ -140,14 +123,9 @@ void SharedAggregator::AddMember(Group* g, uint32_t slot,
                                  query::Predicate::Bound fact_pred) {
   SDW_CHECK(slot < mask_words_ * 64);
   SDW_CHECK(!g->member_mask.Test(slot));
-  // A recycled bit must not inherit a predecessor's lazily-retired entries.
-  if (g->retired_count != 0 &&
-      bits::Test(g->retired_pending.data(), TailBit(slot))) {
-    FlushRetired(g);
-  }
   g->member_mask.Set(slot);
   g->members.push_back({slot, slot, false, std::move(fact_pred), {}});
-  RebuildFoldIndex(g);
+  RebuildIndexes(g);
 }
 
 void SharedAggregator::AddFoldedMember(Group* g, uint32_t bit,
@@ -157,50 +135,69 @@ void SharedAggregator::AddFoldedMember(Group* g, uint32_t bit,
   SDW_CHECK(bit >= fold_base_ && bit < fold_base_ + fold_words_ * 64);
   SDW_CHECK(host_slot < mask_words_ * 64);
   SDW_CHECK(!g->member_mask.Test(bit));
-  // Recycled fold bits flush like recycled slots (see AddMember).
-  if (g->retired_count != 0 &&
-      bits::Test(g->retired_pending.data(), TailBit(bit))) {
-    FlushRetired(g);
-  }
   g->member_mask.Set(bit);
   g->members.push_back(
       {bit, host_slot, true, std::move(fact_pred), std::move(residuals)});
   ++g->folded_members;
-  RebuildFoldIndex(g);
+  RebuildIndexes(g);
 }
 
 void SharedAggregator::MergePartials(Group* g) {
-  // Strip lazily-retired bits first: fresh partial entries carry clean
-  // masks (FoldBatch reads member_mask, which retirement clears eagerly),
-  // and merging them against stale keys would split otherwise-equal
-  // entries.
-  FlushRetired(g);
+  std::vector<uint64_t> tail;
   for (AccTable& part : g->partials) {
-    for (auto& [key, accs] : part) {
-      auto [it, inserted] = g->merged.try_emplace(key);
-      if (inserted) {
-        it->second = std::move(accs);
-      } else {
-        for (size_t a = 0; a < accs.size(); ++a) {
-          it->second[a].MergeFrom(accs[a]);
+    for (auto it = part.begin(); it != part.end();) {
+      // Each entry leaves the partial as a node whose key is cut to the
+      // group bytes in place, so the member that takes it last pays no
+      // allocation.
+      AccTable::node_type node = part.extract(it++);
+      std::string& key = node.key();
+      tail.resize((key.size() - g->key_width) / sizeof(uint64_t));
+      std::memcpy(tail.data(), key.data() + g->key_width,
+                  tail.size() * sizeof(uint64_t));
+      key.resize(g->key_width);
+      if (tail.empty()) {
+        // Tail-less: a private group folded by AggregateScalar.
+        SDW_DCHECK(g->members.size() == 1);
+        MergeNode(&g->members[0].table, std::move(node));
+        continue;
+      }
+      // Expand the entry into every member its bitmap names; the last one
+      // takes the node, the others a copy.
+      uint32_t last = kNoMember;
+      for (size_t w = 0; w < tail.size(); ++w) {
+        for (uint64_t word = tail[w]; word != 0; word &= word - 1) {
+          const uint32_t m = g->tail_member[w * 64 + std::countr_zero(word)];
+          SDW_DCHECK(m != kNoMember);
+          if (last != kNoMember) {
+            MergeCopy(&g->members[last].table, key, node.mapped());
+          }
+          last = m;
         }
       }
+      SDW_DCHECK(last != kNoMember);
+      MergeNode(&g->members[last].table, std::move(node));
     }
-    part.clear();
   }
 }
 
-void SharedAggregator::SliceSlot(const Group& g, uint32_t slot,
-                                 AccTable* out) const {
-  const size_t tail_bit = TailBit(slot);
-  for (const auto& [key, accs] : g.merged) {
-    if (!KeyMaskTest(key, g.key_width, tail_bit)) continue;
-    auto [it, inserted] = out->try_emplace(key.substr(0, g.key_width));
-    if (inserted) it->second.resize(accs.size());
-    for (size_t a = 0; a < accs.size(); ++a) {
-      it->second[a].MergeFrom(accs[a]);
-    }
+size_t SharedAggregator::MemberIndex(const Group& g, uint32_t bit) const {
+  const size_t tail_bit = TailBit(bit);
+  SDW_CHECK(tail_bit < g.tail_member.size());
+  const uint32_t m = g.tail_member[tail_bit];
+  SDW_CHECK_MSG(m != kNoMember, "member bit %u is not bound", bit);
+  return m;
+}
+
+const SharedAggregator::AccTable& SharedAggregator::Slice(const Group& g,
+                                                          uint32_t bit) const {
+  return g.members[MemberIndex(g, bit)].table;
+}
+
+SharedAggregator::AccTable SharedAggregator::TakeSlice(Group* g, uint32_t bit) {
+  for (const AccTable& part : g->partials) {
+    SDW_CHECK_MSG(part.empty(), "TakeSlice requires partials merged");
   }
+  return std::move(g->members[MemberIndex(*g, bit)].table);
 }
 
 void SharedAggregator::RenderSlice(const Group& g, const AccTable& slice,
@@ -229,102 +226,14 @@ bool SharedAggregator::RetireSlot(Group* g, uint32_t slot) {
   for (const AccTable& part : g->partials) {
     SDW_CHECK_MSG(part.empty(), "RetireSlot requires partials merged");
   }
-  // Lazy: the bit only joins the pending set here. Survivors' slices never
-  // see it (they select by their own live bits), so the table pass that
-  // folds it out is deferred to FlushRetired — one batched pass per drain
-  // instead of one per retiring rider, and none at all when the group dies
-  // with its last member.
-  const size_t tail_bit = TailBit(slot);
-  SDW_CHECK(tail_bit < g->retired_pending.size() * 64);
-  if (!bits::Test(g->retired_pending.data(), tail_bit)) {
-    bits::Set(g->retired_pending.data(), tail_bit);
-    ++g->retired_count;
-  }
+  const size_t m = MemberIndex(*g, slot);
+  if (g->members[m].folded) --g->folded_members;
+  // Member order is free (the indexes are rebuilt below): swap-and-pop.
+  if (m + 1 != g->members.size()) g->members[m] = std::move(g->members.back());
+  g->members.pop_back();
   g->member_mask.Clear(slot);
-  for (auto it = g->members.begin(); it != g->members.end(); ++it) {
-    if (it->bit == slot) {
-      if (it->folded) --g->folded_members;
-      g->members.erase(it);
-      break;
-    }
-  }
-  RebuildFoldIndex(g);
+  RebuildIndexes(g);
   return g->members.empty();
-}
-
-void SharedAggregator::FlushRetired(Group* g) {
-  if (g->retired_count == 0) return;
-  const uint64_t* pend = g->retired_pending.data();
-  const size_t words = g->retired_pending.size();
-  // Fold the pending bits out of every entry: survivors' bits are
-  // untouched, so their later slices see exactly the same contributions;
-  // entries whose bitmap goes empty served only retired members and are
-  // dropped; entries whose stripped key collides with a clean one merge.
-  std::vector<std::pair<std::string, std::vector<query::AggAcc>>> rekeyed;
-  for (auto it = g->merged.begin(); it != g->merged.end();) {
-    if (!KeyMaskIntersects(it->first, g->key_width, pend, words)) {
-      ++it;
-      continue;
-    }
-    std::string key = it->first;
-    KeyMaskClearAll(&key, g->key_width, pend, words);
-    if (KeyMaskAny(key, g->key_width)) {
-      rekeyed.emplace_back(std::move(key), std::move(it->second));
-    }
-    it = g->merged.erase(it);
-  }
-  for (auto& [key, accs] : rekeyed) {
-    auto [it, inserted] = g->merged.try_emplace(std::move(key));
-    if (inserted) {
-      it->second = std::move(accs);
-    } else {
-      for (size_t a = 0; a < accs.size(); ++a) {
-        it->second[a].MergeFrom(accs[a]);
-      }
-    }
-  }
-  std::fill(g->retired_pending.begin(), g->retired_pending.end(), 0);
-  g->retired_count = 0;
-}
-
-void SharedAggregator::SliceMembers(const Group& g,
-                                    const std::vector<uint32_t>& bits,
-                                    std::vector<AccTable>* slices) const {
-  slices->clear();
-  slices->resize(bits.size());
-  if (bits.empty()) return;
-  // `want` and `slice_of` are indexed by key-tail position.
-  const size_t member_words = this->member_words();
-  std::vector<uint64_t> want(member_words, 0);
-  std::vector<uint32_t> slice_of(member_words * 64, 0);
-  for (size_t i = 0; i < bits.size(); ++i) {
-    const size_t tail_bit = TailBit(bits[i]);
-    SDW_CHECK(tail_bit < member_words * 64);
-    bits::Set(want.data(), tail_bit);
-    slice_of[tail_bit] = static_cast<uint32_t>(i);
-  }
-  for (const auto& [key, accs] : g.merged) {
-    const size_t words = std::min(
-        member_words, (key.size() - g.key_width) / sizeof(uint64_t));
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t word;
-      std::memcpy(&word,
-                  key.data() + g.key_width + w * sizeof(uint64_t),
-                  sizeof(uint64_t));
-      uint64_t hit = word & want[w];
-      while (hit != 0) {
-        const uint32_t b =
-            static_cast<uint32_t>(w * 64 + std::countr_zero(hit));
-        hit &= hit - 1;
-        AccTable& out = (*slices)[slice_of[b]];
-        auto [it, inserted] = out.try_emplace(key.substr(0, g.key_width));
-        if (inserted) it->second.resize(accs.size());
-        for (size_t a = 0; a < accs.size(); ++a) {
-          it->second[a].MergeFrom(accs[a]);
-        }
-      }
-    }
-  }
 }
 
 void SharedAggregator::DestroyGroup(Group* g) {
@@ -340,35 +249,11 @@ void SharedAggregator::DestroyGroup(Group* g) {
 void SharedAggregator::Rewidth(size_t mask_words) {
   if (mask_words == mask_words_) return;
   SDW_CHECK(mask_words >= 1 && mask_words * 64 <= fold_base_);
-  const size_t old_words = mask_words_;
-  const size_t keep = std::min(old_words, mask_words) * sizeof(uint64_t);
-  const size_t fold_bytes = fold_words_ * sizeof(uint64_t);
-  for (auto& g : groups_) {
-    // Old-layout partial keys merge into the old-layout table first; the
-    // merge also folds out every lazily-retired bit, so a shrink drops only
-    // words that no live member uses.
-    MergePartials(g.get());
-    const size_t slot_end = g->key_width + old_words * sizeof(uint64_t);
-    AccTable rekeyed;
-    rekeyed.reserve(g->merged.size());
-    for (auto& [key, accs] : g->merged) {
-      std::string k(key, 0, g->key_width + keep);
-      k.resize(g->key_width + mask_words * sizeof(uint64_t), '\0');
-      SDW_DCHECK(key.find_first_not_of('\0', g->key_width + keep) >=
-                 slot_end);
-      k.append(key, slot_end, fold_bytes);
-      // Dropped words are zero and added words are zero, so distinct keys
-      // stay distinct: no accumulators merge.
-      const bool inserted =
-          rekeyed.emplace(std::move(k), std::move(accs)).second;
-      SDW_DCHECK(inserted);
-      (void)inserted;
-    }
-    g->merged = std::move(rekeyed);
-    g->retired_pending.assign(mask_words + fold_words_, 0);
-  }
+  // Partial keys carry the old tail layout: expand them while the tail map
+  // still reads it.
+  for (auto& g : groups_) MergePartials(g.get());
   mask_words_ = mask_words;
-  for (auto& g : groups_) RebuildFoldIndex(g.get());
+  for (auto& g : groups_) RebuildIndexes(g.get());
 }
 
 void SharedAggregator::FoldBatch(Group* g, const TupleBatch& batch,

@@ -3,42 +3,47 @@
 // After distribution, aggregation is the last block of per-query work in the
 // pipeline: N same-shape queries each rebuild the same group-by table over
 // the same joined tuples, differing only in which tuples their predicates
-// admit. This stage computes each distinct aggregation SHAPE once and slices
-// per query at emit time, so aggregation cost grows with distinct group-by
-// shapes, not with concurrent query count (cf. "Real-Time Analytics by
-// Coordinating Reuse and Work Sharing" in PAPERS.md).
+// admit. This stage folds each tuple ONCE per distinct aggregation SHAPE and
+// keeps the per-query results per query, so the per-tuple aggregation cost
+// grows with distinct group-by shapes, not with concurrent query count (cf.
+// "Real-Time Analytics by Coordinating Reuse and Work Sharing" in
+// PAPERS.md).
 //
 // Mechanism. Queries whose StarQuery::AggSignature() matches — identical
 // join structure, group-by keys and aggregate expressions; predicate
 // constants free — bind to one Group. For every annotated batch the
-// distributor folds each live tuple ONCE per group into a hash table keyed by
+// distributor folds each live tuple ONCE per group into its part's PARTIAL
+// table, keyed by
 //
 //     (group-key bytes ++ member-bitmap bytes)
 //
 // where the member bitmap is the tuple's query bitmap restricted to the
 // group's members, with each member's fact-predicate verdict applied. The
 // bitmap key partitions every accumulator's contributions exactly by which
-// member queries the tuple qualified for, so:
+// member queries the tuple qualified for, so a partial entry belongs, whole,
+// to every member whose bit it carries.
 //
-//   * slicing member s = summing the entries whose bitmap contains s,
-//     grouped by key prefix — precisely the tuples s would have aggregated
-//     alone (the bitmap ∧ group invariant the property tests check);
-//   * retiring member s = clearing bit s from every entry (re-keying,
-//     merging collisions, dropping empty-bitmap entries) — survivors'
-//     slices are untouched, which is what makes mid-cycle cancellation and
-//     fault retirement side-effect free and slot recycling safe.
+// Merged state is member-major: each Member owns an AccTable keyed by group
+// bytes only, which is exactly the aggregate the member would have computed
+// alone (the bitmap ∧ group invariant the property tests check).
+// MergePartials expands every partial entry into the table of each member
+// its bitmap names; after that
 //
-// Key-tail layout: the member bitmap is the pipeline's current slot words
-// (mask_words, the live bitmap width) followed by the fold words. Member bits
-// are numbered independently of that width — slots from 0, fold bits from
-// fold_base() — and mapped to a tail position only when a key is built or
-// read, so a width change (Rewidth, at a pause) moves the fold words but
-// never renumbers a member.
+//   * a completing member's slice is a move of its own table (TakeSlice);
+//   * retiring a member drops its table — survivors' tables are untouched,
+//     which is what makes mid-cycle cancellation and fault retirement side-
+//     effect free, and a re-bound bit starts from an empty table.
 //
-// Two-phase tables: each distributor part folds into its own partial table
-// (no cross-part synchronization on the hot path); partials merge into the
-// group's table only at scan-cycle boundaries — the admission pauses where
-// the pipeline is drained — right before a slice or retirement needs them.
+// So a completion pause costs O(partial entries since the last merge × their
+// member bits) plus O(the finishing member's own groups), never a walk of
+// every live member's state.
+//
+// Partial key-tail layout: the member bitmap is the pipeline's current slot
+// words (mask_words, the live bitmap width) followed by the fold words.
+// Member bits are numbered independently of that width — slots from 0, fold
+// bits from fold_base() — and mapped to a tail position only when a partial
+// key is built or expanded. Member tables carry no bitmap, so a width change
+// (Rewidth, at a pause) only merges the old-layout partials first.
 //
 // The pipeline's pause discipline is the synchronization contract: FoldBatch
 // runs concurrently from distributor parts (each on its own partial);
@@ -84,9 +89,9 @@ class SharedAggregator {
   using DimRowFn =
       std::function<const std::byte*(size_t filter_pos, uint32_t row)>;
 
-  /// Accumulator table: key -> one accumulator per aggregate. Partial and
-  /// merged tables key by (group bytes ++ bitmap bytes); slices key by group
-  /// bytes only.
+  /// Accumulator table: key -> one accumulator per aggregate. Partial
+  /// tables key by (group bytes ++ bitmap bytes); member tables and slices
+  /// key by group bytes only.
   using AccTable = std::unordered_map<std::string, std::vector<query::AggAcc>>;
 
   /// A residual dimension predicate of a folded member: the satellite's own
@@ -118,6 +123,10 @@ class SharedAggregator {
     bool folded = false;
     query::Predicate::Bound fact_pred;  // bound on the fact schema
     std::vector<Residual> residuals;    // folded members only
+    /// Merged state: this member's aggregate over every partial merged so
+    /// far, keyed by group bytes. (`= {}` lets brace-initialized Members
+    /// omit it.)
+    AccTable table = {};
   };
 
   /// One aggregation shape and its members' shared state.
@@ -136,25 +145,24 @@ class SharedAggregator {
     std::vector<Member> members;
     size_t folded_members = 0;     // count of members with folded == true
 
-    // Lazy retirement (see RetireSlot): bits whose members are gone but
-    // whose stale copies still sit in merged-entry key tails. Invisible to
-    // surviving members' slices — slicing selects by live bits — so the
-    // fold-out pass is deferred and batched instead of paid per retirement.
-    std::vector<uint64_t> retired_pending;  // key-tail layout, member_words
-    size_t retired_count = 0;               // set bits in retired_pending
-
-    // Fold index, rebuilt on every member change (pause surface): which
-    // host slots carry satellites, and each host's satellites as a CSR list
-    // of `members` indices. FoldBatch walks only the satellites of the
-    // host slots a tuple actually matched instead of scanning every member
-    // per tuple.
+    // Indexes rebuilt on every member change and width change (pause
+    // surface). The fold index lists which host slots carry satellites, and
+    // each host's satellites as a CSR list of `members` indices: FoldBatch
+    // walks only the satellites of the host slots a tuple actually matched
+    // instead of scanning every member per tuple. `tail_member` maps a
+    // partial key-tail bit to its member's index in `members` (kNoMember
+    // where no member is bound), so MergePartials expands an entry without
+    // searching.
     std::vector<uint64_t> sat_slot_mask;  // mask_words: slots with satellites
     std::vector<uint32_t> sat_begin;      // per slot: offset into sat_idx
     std::vector<uint32_t> sat_idx;        // member indices, grouped by slot
+    std::vector<uint32_t> tail_member;    // member_words*64 tail bits
 
     std::vector<AccTable> partials;  // one per distributor part
-    AccTable merged;
   };
+
+  /// `tail_member` value for a tail bit with no bound member.
+  static constexpr uint32_t kNoMember = ~uint32_t{0};
 
   /// Reusable per-thread scratch for FoldBatch.
   struct FoldScratch {
@@ -202,24 +210,21 @@ class SharedAggregator {
                        query::Predicate::Bound fact_pred,
                        std::vector<Residual> residuals);
 
-  /// Merges every part's partial table into the group's merged table
-  /// (partials come out empty, capacity retained).
+  /// Merges every part's partial table into the member tables: each entry
+  /// is added to the table of every member whose bit its key tail carries.
+  /// A tail-less entry (a private group folded by AggregateScalar) goes to
+  /// the group's only member. Partials come out empty, capacity retained.
   static void MergePartials(Group* g);
 
-  /// Per-query slice: sums the merged entries whose bitmap contains member
-  /// bit `slot` (a slot for slot members, a fold bit for folded ones) into
-  /// `out`, keyed by group bytes only — exactly the aggregate the member
-  /// would have computed alone. Requires partials merged.
-  void SliceSlot(const Group& g, uint32_t slot, AccTable* out) const;
+  /// Member bit `bit`'s aggregate so far (a slot for slot members, a fold
+  /// bit for folded ones), keyed by group bytes only — exactly the
+  /// aggregate the member would have computed alone over the merged
+  /// partials. Merge first for a complete answer.
+  const AccTable& Slice(const Group& g, uint32_t bit) const;
 
-  /// Batch slice: cuts many members' slices in ONE merged-table traversal —
-  /// `(*slices)[i]` receives member bit `bits[i]`'s aggregate, keyed by
-  /// group bytes only, exactly as SliceSlot would produce it. The drain
-  /// that ends a scan cycle finishes every rider of a slot at once; slicing
-  /// them per rider costs O(riders × entries), this costs O(entries) plus
-  /// the irreducible per-hit merges. Requires partials merged.
-  void SliceMembers(const Group& g, const std::vector<uint32_t>& bits,
-                    std::vector<AccTable>* slices) const;
+  /// The completing member's slice: moves member `bit`'s table out, leaving
+  /// the member bound with an empty table. Requires partials merged.
+  AccTable TakeSlice(Group* g, uint32_t bit);
 
   /// Renders a slice into out_schema tuples (appended to `rows`, one string
   /// of out_schema.tuple_size() bytes each). An empty slice of a global
@@ -227,33 +232,22 @@ class SharedAggregator {
   static void RenderSlice(const Group& g, const AccTable& slice,
                           std::vector<std::string>* rows);
 
-  /// Retires the member at bit `slot` (a slot or a fold bit): unbinds the
-  /// member and marks the bit for LAZY removal from the merged table. A
-  /// stale bit in an entry's key tail cannot leak into any surviving
-  /// member's slice (slices select by live bits only), so the fold-out pass
-  /// — stripping pending bits, merging key collisions, dropping entries
-  /// whose bitmap went empty — is deferred to FlushRetired, which the next
-  /// MergePartials (or a re-bind of a pending bit) triggers. A drain that
-  /// retires N members thus pays ONE table pass, not N; a group whose last
-  /// member retires is destroyed without any pass. Requires partials
-  /// merged. Returns true when the group has no members left (the caller
+  /// Retires the member at bit `slot` (a slot or a fold bit): unbinds it
+  /// and drops its table. Survivors' tables are untouched. Requires
+  /// partials merged, so no partial entry still carries the bit when it is
+  /// re-bound. Returns true when the group has no members left (the caller
   /// destroys it).
   bool RetireSlot(Group* g, uint32_t slot);
-
-  /// Folds every lazily-retired bit out of the merged table now. No-op when
-  /// none are pending; called automatically by MergePartials and by
-  /// AddMember/AddFoldedMember when they re-bind a pending bit.
-  static void FlushRetired(Group* g);
 
   /// Destroys an empty group.
   void DestroyGroup(Group* g);
 
   /// Changes the tuple-bitmap width to `mask_words` words: every group's
-  /// partials are merged (which folds out retired bits) and each merged key
-  /// is re-keyed — slot words kept or zero-extended, fold words moved to the
-  /// new tail position. Shrinking requires every bound slot below
-  /// mask_words*64. Slices and member numbers are unchanged. Batches folded
-  /// afterwards must carry `mask_words` words per tuple.
+  /// old-layout partials are merged, then the indexes are rebuilt for the
+  /// new key-tail layout (fold words follow the new slot words). Shrinking
+  /// requires every bound slot below mask_words*64. Slices and member
+  /// numbers are unchanged. Batches folded afterwards must carry
+  /// `mask_words` words per tuple.
   void Rewidth(size_t mask_words);
 
   // ------------------------------------------------ hot path (part threads)
@@ -271,8 +265,11 @@ class SharedAggregator {
                  FoldScratch* scratch) const;
 
  private:
-  /// Rebuilds `g`'s fold index from its current member list.
-  void RebuildFoldIndex(Group* g) const;
+  /// Rebuilds `g`'s fold index and tail map from its current member list.
+  void RebuildIndexes(Group* g) const;
+
+  /// Index into `g.members` of the member bound at bit `bit`.
+  size_t MemberIndex(const Group& g, uint32_t bit) const;
 
   /// Key-tail bit position of member bit `bit` at the current width.
   size_t TailBit(uint32_t bit) const {

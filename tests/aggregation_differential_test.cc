@@ -7,6 +7,9 @@
 // mixed-signature batches (several groups folding the same batch). Rows are
 // compared as sorted per-query sets: integer aggregates bit-exact, floating
 // aggregates within a relative tolerance (partial-merge order is free).
+// The member tables are pinned too: retiring one of 256 live members leaves
+// the other slices bit-identical, and a slot or fold bit retired and
+// re-bound in one pause starts from an empty table.
 //
 // A second layer runs whole engines end-to-end on the SSB database — one
 // with the shared aggregation stage, one on the scalar reference
@@ -240,8 +243,7 @@ void CheckMember(const SharedAggregator& agg,
                  const std::vector<SharedAggregator::Group*>& groups,
                  const std::vector<ShapeSpec>& shapes, const MemberRef& m) {
   const SharedAggregator::Group& g = *groups[m.shape];
-  SharedAggregator::AccTable slice;
-  agg.SliceSlot(g, m.slot, &slice);
+  const SharedAggregator::AccTable& slice = agg.Slice(g, m.slot);
   std::vector<std::string> got, want;
   SharedAggregator::RenderSlice(g, slice, &got);
   SharedAggregator::RenderSlice(g, m.scalar, &want);
@@ -299,7 +301,7 @@ void RunTrial(size_t slots, uint64_t seed, bool preds_pre_applied) {
     }
     if (n == 64) {
       // Mid-stream merge: later folds land in emptied partials and must
-      // accumulate on top of the merged table.
+      // accumulate on top of the member tables.
       for (SharedAggregator::Group* g : groups) {
         SharedAggregator::MergePartials(g);
       }
@@ -347,6 +349,136 @@ void RunTrial(size_t slots, uint64_t seed, bool preds_pre_applied) {
   for (const MemberRef& m : survivors) {
     CheckMember(agg, groups, shapes, m);
   }
+}
+
+// --------------------------------------------------- member-major tables
+
+// Renders member `bit`'s current slice, rows sorted.
+std::vector<std::string> SliceRows(const SharedAggregator& agg,
+                                   const SharedAggregator::Group& g,
+                                   uint32_t bit) {
+  std::vector<std::string> rows;
+  SharedAggregator::RenderSlice(g, agg.Slice(g, bit), &rows);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// A member as the scalar reference sees it (its bit, the slot whose bitmap
+// bit gates it, its fact predicate) plus its reference table.
+struct RefMember {
+  SharedAggregator::Member mem;
+  SharedAggregator::AccTable scalar;
+};
+
+void FoldBoth(SharedAggregator* agg, SharedAggregator::Group* g,
+              const TupleBatch& batch, size_t part,
+              std::vector<RefMember>* refs) {
+  SharedAggregator::FoldScratch scratch;
+  agg->FoldBatch(g, batch, FactSchema(), nullptr, part,
+                 /*preds_pre_applied=*/false, &scratch);
+  for (RefMember& r : *refs) {
+    AggregateScalar(*g, r.mem, batch, FactSchema(), nullptr,
+                    /*preds_pre_applied=*/false, &r.scalar);
+  }
+}
+
+void CheckRefs(const SharedAggregator& agg, const SharedAggregator::Group& g,
+               const std::vector<RefMember>& refs, const char* step) {
+  for (const RefMember& r : refs) {
+    std::vector<std::string> want;
+    SharedAggregator::RenderSlice(g, r.scalar, &want);
+    CheckRowsEqual(g, SliceRows(agg, g, r.mem.bit), std::move(want), step,
+                   r.mem.bit);
+  }
+}
+
+// With 256 live members in one group, retiring one leaves every other
+// member's slice bit-identical (the same rendered bytes, floating aggregates
+// included) and equal to its scalar reference.
+void RetireOneOf256(uint64_t seed) {
+  constexpr size_t kSlots = 256;
+  constexpr uint32_t kRetired = 137;
+  Rng rng(seed);
+  const ShapeSpec shape = MakeShapes()[1];
+  SharedAggregator agg(kParts, bits::WordsFor(kSlots));
+  SharedAggregator::Group* g = agg.CreateGroup(shape.name);
+  BindShape(g, shape);
+  std::vector<RefMember> refs;
+  for (uint32_t slot = 0; slot < kSlots; ++slot) {
+    query::Predicate::Bound pred = MakePred(slot, &rng);
+    agg.AddMember(g, slot, pred);
+    refs.push_back({{slot, slot, false, std::move(pred), {}}, {}});
+  }
+  for (size_t b = 0; b < 6; ++b) {
+    TupleBatch batch;
+    FillBatch(&batch, 300, kSlots, Fill::kRandom, &rng);
+    FoldBoth(&agg, g, batch, b % kParts, &refs);
+  }
+  SharedAggregator::MergePartials(g);
+  CheckRefs(agg, *g, refs, "256 live");
+  std::vector<std::vector<std::string>> before;
+  for (const RefMember& r : refs) before.push_back(SliceRows(agg, *g, r.mem.bit));
+
+  SDW_CHECK(!agg.RetireSlot(g, kRetired));
+  for (uint32_t slot = 0; slot < kSlots; ++slot) {
+    if (slot == kRetired) continue;
+    SDW_CHECK_MSG(SliceRows(agg, *g, slot) == before[slot],
+                  "slot %u slice changed when slot %u retired", slot,
+                  kRetired);
+  }
+  refs.erase(refs.begin() + kRetired);
+  CheckRefs(agg, *g, refs, "255 after retire");
+}
+
+// A slot and a fold bit each retired and re-bound in the same pause (no fold
+// in between) start from empty tables and then slice exactly their own
+// post-bind tuples, while the other members keep their whole history.
+void RebindStartsEmpty(uint64_t seed) {
+  constexpr size_t kSlots = 64;
+  constexpr uint32_t kRecycled = 5;
+  Rng rng(seed);
+  const ShapeSpec shape = MakeShapes()[0];
+  SharedAggregator agg(kParts, /*mask_words=*/1, /*member_words=*/2);
+  const uint32_t fold_bit = agg.fold_base() + 3;
+  SharedAggregator::Group* g = agg.CreateGroup(shape.name);
+  BindShape(g, shape);
+  std::vector<RefMember> refs;
+  for (uint32_t slot = 0; slot < kSlots; ++slot) {
+    query::Predicate::Bound pred = MakePred(slot, &rng);
+    agg.AddMember(g, slot, pred);
+    refs.push_back({{slot, slot, false, std::move(pred), {}}, {}});
+  }
+  auto add_folded = [&](uint32_t host) {
+    query::Predicate::Bound pred = MakePred(host + 2, &rng);
+    agg.AddFoldedMember(g, fold_bit, host, pred, {});
+    refs.push_back({{fold_bit, host, true, std::move(pred), {}}, {}});
+  };
+  add_folded(/*host=*/3);
+  auto fold_some = [&] {
+    for (size_t b = 0; b < 3; ++b) {
+      TupleBatch batch;
+      FillBatch(&batch, 200, kSlots, Fill::kRandom, &rng);
+      FoldBoth(&agg, g, batch, b % kParts, &refs);
+    }
+    SharedAggregator::MergePartials(g);
+  };
+  fold_some();
+  CheckRefs(agg, *g, refs, "before recycle");
+
+  SDW_CHECK(!agg.RetireSlot(g, kRecycled));
+  SDW_CHECK(!agg.RetireSlot(g, fold_bit));
+  refs.pop_back();  // the folded member
+  query::Predicate::Bound pred = MakePred(kRecycled + 1, &rng);
+  agg.AddMember(g, kRecycled, pred);
+  refs[kRecycled] = {{kRecycled, kRecycled, false, std::move(pred), {}}, {}};
+  add_folded(/*host=*/9);
+  SDW_CHECK_MSG(agg.Slice(*g, kRecycled).empty(),
+                "re-bound slot inherited its predecessor's table");
+  SDW_CHECK_MSG(agg.Slice(*g, fold_bit).empty(),
+                "re-bound fold bit inherited its predecessor's table");
+
+  fold_some();
+  CheckRefs(agg, *g, refs, "after recycle");
 }
 
 // ---------------------------------------------------------- engine layer
@@ -476,6 +608,10 @@ int main() {
     }
     // Preprocessor-applied predicates: both paths must read bitmaps as-is.
     RunTrial(slots, 4000 + slots, /*preds_pre_applied=*/true);
+  }
+  for (uint64_t seed : {5u, 6u}) {
+    RetireOneOf256(seed);
+    RebindStartsEmpty(seed);
   }
   EngineSharedVsScalar();
   std::printf("aggregation_differential_test: OK\n");

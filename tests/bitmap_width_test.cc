@@ -7,8 +7,8 @@
 // Nothing about a width change may be observable in results:
 //
 //   * unit level: a Filter's match bits and a SharedAggregator's member
-//     slices (slot members, folded members, lazily-retired bits, unmerged
-//     partials) are bit-identical before and after a re-width;
+//     slices (slot members, folded members, members retired before the
+//     re-width, unmerged partials) are bit-identical before and after it;
 //   * engine level (cap 1024, Volcano oracle): a load ramp 16 → 200 → 16
 //     live queries grows the width 1 → 4 and shrinks it back, with shared
 //     aggregation on and off and with fact predicates applied in the
@@ -29,6 +29,7 @@
 #include "cjoin/filter.h"
 #include "cjoin/pipeline.h"
 #include "cjoin/shared_agg.h"
+#include "common/fault_injector.h"
 #include "common/rng.h"
 #include "common/timing.h"
 #include "core/engine.h"
@@ -248,8 +249,7 @@ class AggTwin {
   static std::vector<std::string> Rows(const SharedAggregator& agg,
                                        const SharedAggregator::Group& g,
                                        uint32_t bit) {
-    SharedAggregator::AccTable slice;
-    agg.SliceSlot(g, bit, &slice);
+    const SharedAggregator::AccTable& slice = agg.Slice(g, bit);
     std::vector<std::string> rows;
     SharedAggregator::RenderSlice(g, slice, &rows);
     std::sort(rows.begin(), rows.end());
@@ -288,7 +288,7 @@ void SharedAggRewidthKeepsSlices(uint64_t seed) {
   twin.Fold(&rng, low, 1);
   twin.CheckSlices("width 1");
 
-  // Grow with lazily-retired bits pending and an unmerged partial.
+  // Grow just after two retirements, with an unmerged partial.
   twin.Retire(0);
   twin.Retire(twin.fold_bit(1));
   twin.Fold(&rng, low, 1);
@@ -303,8 +303,8 @@ void SharedAggRewidthKeepsSlices(uint64_t seed) {
   twin.Fold(&rng, wide, 1);
   twin.CheckSlices("width 4 with slot 200");
 
-  // Shrink: slot 200 and its satellite retire (pending), then a partial
-  // over the low slots stays unmerged across the re-width.
+  // Shrink: slot 200 and its satellite retire, then a partial over the
+  // low slots stays unmerged across the re-width.
   twin.Retire(twin.fold_bit(2));
   twin.Retire(200);
   twin.Fold(&rng, low, 0);
@@ -433,17 +433,39 @@ std::vector<query::StarQuery> Satellites() {
           ssb::MakeQ32Selectivity(Params({0, 2}, {3}, 1992, 1994))};
 }
 
+// Sleeps every fact-page read for `nanos`; 0 lifts the throttle. While it
+// holds, queries in flight advance one page per `nanos` however long the
+// caller takes to stage submissions.
+void ThrottleFactScan(int64_t nanos) {
+  FaultInjector& faults = FaultInjector::Global();
+  faults.ClearSite("storage.read");
+  if (nanos == 0) return;
+  const uint64_t fact = Db()->catalog.MustGetTable(ssb::kLineorder)->id();
+  FaultSpec spec;
+  spec.kind = FaultKind::kLatency;
+  spec.every_nth = 1;
+  spec.latency_nanos = nanos;
+  spec.key_lo = fact << 48;
+  spec.key_hi = (fact << 48) | 0xFFFFFFFFFFFFull;
+  faults.Arm("storage.read", spec);
+}
+
 // Folded aggregate satellites across both width changes. Pause accounting
-// is exact here because every query scans a full cycle, far longer than the
-// staged submissions: the only pauses are the ones this trial triggers.
+// is exact here because the fact scan is throttled while each stage is
+// submitted: a page takes kStagePageNanos, so a query's full cycle
+// outlasts the staging (wiring the 95 blockers alone takes about a second
+// under a sanitizer) and the only pauses are the ones this trial triggers.
 void FoldRelocationTrial() {
+  constexpr int64_t kStagePageNanos = 25'000'000;
   testing::TestDb* db = Db();
+  FaultInjector::Global().Enable(/*seed=*/1);
   Engine engine(&db->catalog, db->pool.get(),
                 WidthOptions(/*shared_aggregation=*/true, /*folding=*/true));
   const query::StarQuery host = Host();
   const auto sats = Satellites();
 
   // Satellites fold onto a width-1 host.
+  ThrottleFactScan(kStagePageNanos);
   QueryTicket h = engine.Submit(host);
   WaitAdmitted(&engine, 1);
   const auto s1 = engine.SubmitBatch(sats);
@@ -464,6 +486,7 @@ void FoldRelocationTrial() {
                 static_cast<unsigned long long>(s.bitmap_words),
                 static_cast<unsigned long long>(s.bitmap_width_changes));
   for (const auto& t : s1) SDW_CHECK_MSG(!t.done(), "satellite ended early");
+  ThrottleFactScan(0);
   CheckResult(host, h, "host");
   CheckAll(sats, s1, "satellite across grow");
   CheckAll(blockers, tb, "blocker");
@@ -476,6 +499,7 @@ void FoldRelocationTrial() {
   SDW_CHECK(s.bitmap_words == 2);
   const uint64_t admitted = s.queries_admitted;
   const uint64_t folded = s.queries_folded;
+  ThrottleFactScan(kStagePageNanos);
   QueryTicket h2 = engine.Submit(host);
   WaitAdmitted(&engine, admitted + 1);
   const auto s2 = engine.SubmitBatch(sats);
@@ -503,12 +527,14 @@ void FoldRelocationTrial() {
   SDW_CHECK(s.bitmap_width_changes == 2);
   SDW_CHECK_MSG(!s2[1].done() && !s2[2].done() && !h2.done(),
                 "second host ended before the shrink");
+  ThrottleFactScan(0);
   CheckResult(host, h2, "second host");
   for (size_t i = 1; i < sats.size(); ++i) {
     CheckResult(sats[i], s2[i], "satellite across shrink");
   }
   CheckAll(probes, tp, "probe");
   SDW_CHECK(engine.cjoin_stats().queries_cancelled >= 1);
+  FaultInjector::Global().Disable();
 }
 
 }  // namespace

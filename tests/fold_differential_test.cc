@@ -171,39 +171,56 @@ std::vector<query::ResultSet> SatelliteOracle() {
 // How a staged-fold trial retires the host mid-stream.
 enum class HostEnd { kCompletes, kCancelled, kExpires };
 
-// Submits a wide host, then — while its scan cycle is still in flight —
-// a batch of provably-contained satellites, which must fold onto it. The
-// host then retires per `end`; the satellites must complete with
-// oracle-exact results regardless (the promotion path when the host goes
-// first).
-void StagedFoldTrial(HostEnd end) {
+// Polls `cond` until it holds or 5 s pass; returns its final value.
+template <typename Cond>
+bool PollUntil(Cond cond) {
+  const int64_t give_up = NowNanos() + 5'000'000'000;
+  while (!cond() && NowNanos() < give_up) std::this_thread::yield();
+  return cond();
+}
+
+// Submits a wide host, waits for its admission, then — while its scan cycle
+// is still in flight — submits a batch of provably-contained satellites,
+// which must fold onto it. The host then retires per `end`; the satellites
+// must complete with oracle-exact results regardless (the promotion path
+// when the host goes first). The trial needs host admitted → satellites
+// folded → host ends, in that order. Returns false, having asserted
+// nothing, when the host ended before both satellites folded (its deadline
+// or its whole cycle outran a loaded machine); the caller re-runs it.
+bool StagedFoldAttempt(HostEnd end, int64_t deadline_ms) {
   testing::TestDb* db = Db();
   Engine engine(&db->catalog, db->pool.get(),
                 FoldOptions(/*folding=*/true, 16));
 
   SubmitOptions host_opts;
   if (end == HostEnd::kExpires) {
-    // Comfortably past admission, comfortably before a 0.02-SF scan cycle
-    // ends (tens of ms on any machine this runs on).
-    host_opts.deadline_nanos = NowNanos() + 20'000'000;  // 20 ms
+    // Meant to fire after the satellites fold and before a 0.02-SF scan
+    // cycle ends (tens of ms).
+    host_opts.deadline_nanos = NowNanos() + deadline_ms * 1'000'000;
   }
   QueryTicket host =
       engine.Submit(ssb::MakeQ32Selectivity(HostParams()), host_opts);
+  PollUntil([&] {
+    return engine.cjoin_stats().queries_admitted >= 1 || host.done();
+  });
 
   // Second arrival batch: the admission pause happens mid-cycle, so the
   // satellites fold onto the already-running host.
   auto sat_tickets = engine.SubmitBatch(SatelliteQueries());
+  const bool folded_first = PollUntil([&] {
+    return engine.cjoin_stats().queries_folded >= sat_tickets.size() ||
+           host.done();
+  }) && engine.cjoin_stats().queries_folded >= sat_tickets.size();
+  if (!folded_first && host.done()) {
+    for (auto& t : sat_tickets) t.Wait();
+    return false;
+  }
 
   if (end == HostEnd::kCancelled) {
-    // Cancel only once the satellites have actually folded. An earlier
-    // cancel races admission: a retiring host is correctly skipped as a
-    // fold target, so the satellites would take their own slots and the
-    // trial would no longer exercise promotion under riders.
-    const int64_t give_up = NowNanos() + 5'000'000'000;
-    while (engine.cjoin_stats().queries_folded < sat_tickets.size() &&
-           NowNanos() < give_up) {
-      std::this_thread::yield();
-    }
+    // Cancel only once the satellites have actually folded (awaited above).
+    // An earlier cancel races admission: a retiring host is correctly
+    // skipped as a fold target, so the satellites would take their own
+    // slots and the trial would no longer exercise promotion under riders.
     host.Cancel();
   }
 
@@ -253,6 +270,18 @@ void StagedFoldTrial(HostEnd end) {
     SDW_CHECK_MSG(stats.fold_promotions >= 1,
                   "host retired first but no promotion was counted");
   }
+  return true;
+}
+
+// Runs StagedFoldAttempt until one establishes its ordering, doubling the
+// expiring host's deadline after each attempt the host ended too early.
+void StagedFoldTrial(HostEnd end) {
+  int64_t deadline_ms = 20;
+  for (int attempt = 0; attempt < 6; ++attempt, deadline_ms *= 2) {
+    if (StagedFoldAttempt(end, deadline_ms)) return;
+    std::fprintf(stderr, "  host ended before its satellites folded; retry\n");
+  }
+  SDW_CHECK_MSG(false, "host ended before its satellites folded, 6 times");
 }
 
 }  // namespace

@@ -267,7 +267,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DistributorLiveMaskProperty,
                          ::testing::Range(0, 6));
 
 // Shared-aggregation slice invariant (the bitmap ∧ group property): for any
-// member of a shared aggregation group, SliceSlot over the folded table must
+// member of a shared aggregation group, its merged slice (Slice) must
 // equal a direct aggregation of EXACTLY that member's qualifying tuples —
 // live, bitmap bit set, fact predicate satisfied — computed here by brute
 // force per tuple, with no batching, partials or bitmap keying involved.
@@ -335,8 +335,8 @@ TEST_P(SharedAggSliceProperty, SliceEqualsQualifyingTuples) {
   cjoin::SharedAggregator::MergePartials(g);
 
   for (size_t s = 0; s < kSlots; ++s) {
-    cjoin::SharedAggregator::AccTable slice;
-    agg.SliceSlot(*g, static_cast<uint32_t>(s), &slice);
+    const cjoin::SharedAggregator::AccTable& slice =
+        agg.Slice(*g, static_cast<uint32_t>(s));
 
     // Brute force: one accumulator table over exactly the qualifying tuples.
     cjoin::SharedAggregator::AccTable want;
@@ -375,6 +375,159 @@ TEST_P(SharedAggSliceProperty, SliceEqualsQualifyingTuples) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedAggSliceProperty,
                          ::testing::Range(0, 6));
+
+// Folded members across bitmap width changes: slot members and folded
+// satellites (fold bits numbered from fold_base(), stored after the slot
+// words of each partial key) fold batches at one word, across a grow to four
+// words with a partial still unmerged, at four words with a host beyond the
+// old width, and across a shrink back to one word. After every step each
+// bound member's slice must equal the scalar reference (AggregateScalar on
+// the member's gating slot and fact predicate) over exactly the batches
+// folded while it was bound.
+class SharedAggWidthFoldProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SharedAggWidthFoldProperty, FoldedSlicesSurviveGrowAndShrink) {
+  using Agg = cjoin::SharedAggregator;
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 11);
+  const storage::Schema fs({storage::Schema::Int32("g"),
+                            storage::Schema::Int32("v"),
+                            storage::Schema::Int32("w")});
+  constexpr size_t kCapWords = 16;  // a 1024-slot capacity
+  constexpr size_t kParts = 2;
+  Agg agg(kParts, kCapWords, kCapWords + 1);
+  agg.Rewidth(1);
+  Agg::Group* g = agg.CreateGroup("width_fold");
+  g->join_schema = fs;
+  g->join_row_size = fs.tuple_size();
+  g->moves = {{/*from_fact=*/true, 0, /*src_col=*/0, 0, 0, fs.tuple_size()}};
+  g->group_cols = {0};
+  g->aggs = {{query::AggSpec::Kind::kSum, 2, -1, -1, /*integer_exact=*/true,
+              "s"},
+             {query::AggSpec::Kind::kCount, -1, -1, -1, false, "c"}};
+  g->out_schema = storage::Schema({storage::Schema::Int32("g"),
+                                   storage::Schema::Int64("s"),
+                                   storage::Schema::Int64("c")});
+  g->key_width = fs.column(0).width();
+
+  struct Ref {
+    Agg::Member mem;  // bit, gating slot, fact predicate
+    Agg::AccTable want;
+  };
+  std::vector<Ref> refs;
+  auto random_pred = [&] {
+    query::Predicate p;
+    if (rng.Bernoulli(0.6)) {
+      p.And(query::AtomicPred::Int(
+          "v", static_cast<query::CompareOp>(rng.Index(6)),
+          rng.Uniform(0, 50)));
+    }
+    return p.Bind(fs);
+  };
+  auto add_slot = [&](uint32_t slot) {
+    query::Predicate::Bound p = random_pred();
+    agg.AddMember(g, slot, p);
+    refs.push_back({{slot, slot, false, std::move(p), {}}, {}});
+  };
+  auto add_folded = [&](uint32_t k, uint32_t host) {
+    const uint32_t bit = agg.fold_base() + k;
+    query::Predicate::Bound p = random_pred();
+    agg.AddFoldedMember(g, bit, host, p, {});
+    refs.push_back({{bit, host, true, std::move(p), {}}, {}});
+  };
+  auto retire = [&](uint32_t bit) {
+    Agg::MergePartials(g);
+    ASSERT_FALSE(agg.RetireSlot(g, bit));
+    for (auto it = refs.begin(); it != refs.end(); ++it) {
+      if (it->mem.bit == bit) {
+        refs.erase(it);
+        break;
+      }
+    }
+  };
+  size_t part = 0;
+  Agg::FoldScratch scratch;
+  auto fold = [&](const std::vector<uint32_t>& slots) {
+    const uint32_t n = static_cast<uint32_t>(rng.Uniform(1, 150));
+    cjoin::TupleBatch batch;
+    batch.fact_page = storage::Page::Make(fs.tuple_size());
+    for (uint32_t i = 0; i < n; ++i) {
+      std::byte* t = batch.fact_page->AppendTuple();
+      fs.SetInt32(t, 0, static_cast<int32_t>(rng.Uniform(0, 5)));
+      fs.SetInt32(t, 1, static_cast<int32_t>(rng.Uniform(0, 50)));
+      fs.SetInt32(t, 2, static_cast<int32_t>(rng.Uniform(-20, 20)));
+    }
+    const uint32_t words = static_cast<uint32_t>(agg.mask_words());
+    batch.ResetFor(n, words, /*filters=*/0);
+    for (uint32_t i = 0; i < n; ++i) {
+      uint64_t* tb = batch.tuple_bits(i);
+      bits::Zero(tb, words);
+      for (uint32_t s : slots) {
+        if (rng.Bernoulli(0.5)) bits::Set(tb, s);
+      }
+      if (!bits::Any(tb, words)) batch.kill_tuple(i);
+    }
+    agg.FoldBatch(g, batch, fs, nullptr, part++ % kParts,
+                  /*preds_pre_applied=*/false, &scratch);
+    for (Ref& r : refs) {
+      cjoin::AggregateScalar(*g, r.mem, batch, fs, nullptr,
+                             /*preds_pre_applied=*/false, &r.want);
+    }
+  };
+  auto check = [&](const char* step) {
+    Agg::MergePartials(g);
+    for (const Ref& r : refs) {
+      const Agg::AccTable& slice = agg.Slice(*g, r.mem.bit);
+      ASSERT_EQ(slice.size(), r.want.size()) << step << " bit " << r.mem.bit;
+      for (const auto& [key, accs] : r.want) {
+        auto it = slice.find(key);
+        ASSERT_NE(it, slice.end()) << step << " bit " << r.mem.bit;
+        for (size_t a = 0; a < accs.size(); ++a) {
+          EXPECT_EQ(it->second[a].i, accs[a].i)
+              << step << " bit " << r.mem.bit << " agg " << a;
+          EXPECT_EQ(it->second[a].count, accs[a].count)
+              << step << " bit " << r.mem.bit << " agg " << a;
+        }
+      }
+    }
+  };
+
+  add_slot(0);
+  add_slot(7);
+  add_slot(40);
+  add_folded(0, /*host=*/7);
+  add_folded(1, /*host=*/40);
+  add_folded(2, /*host=*/0);
+  const std::vector<uint32_t> low = {0, 7, 40, 50};
+  fold(low);
+  fold(low);
+  check("width 1");
+
+  fold(low);  // left unmerged across the grow
+  agg.Rewidth(4);
+  ASSERT_EQ(agg.mask_words(), 4u);
+  check("grown to 4");
+
+  add_slot(200);
+  add_folded(5, /*host=*/200);
+  add_folded(63, /*host=*/7);
+  const std::vector<uint32_t> wide = {0, 7, 40, 200, 255};
+  fold(wide);
+  fold(wide);
+  check("width 4");
+
+  retire(agg.fold_base() + 5);
+  retire(200);
+  fold(low);  // left unmerged across the shrink
+  agg.Rewidth(1);
+  ASSERT_EQ(agg.mask_words(), 1u);
+  check("shrunk to 1");
+
+  fold(low);
+  check("after shrink");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SharedAggWidthFoldProperty,
+                         ::testing::Range(0, 4));
 
 // Mid-cycle detachment property: cancelling a random subset of the members
 // of a live shared aggregation group (same-shape Q3.2 instances bound to one
